@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "energy/analyser.hpp"
@@ -58,8 +59,8 @@ PassConfig MultiCriteriaCompiler::traditional_config() const {
     return config;
 }
 
-TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
-                                           const PassConfig& config) const {
+TaskVersion MultiCriteriaCompiler::transform(const std::string& function,
+                                             const PassConfig& config) const {
     // Clone and transform.  Passes run in a fixed order: inline first (so
     // later passes see the whole body), scalar cleanups, unrolling, then the
     // security countermeasure, and DCE last to sweep dead values.
@@ -68,6 +69,7 @@ TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
     if (fn == nullptr)
         throw std::invalid_argument("compile: undefined function '" +
                                     function + "'");
+    transforms_.fetch_add(1, std::memory_order_relaxed);
 
     if (config.inline_calls_pass) inline_calls(*transformed, *fn);
     // Scalar cleanups run whole-program (callees too), like any real
@@ -99,55 +101,79 @@ TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
     ir::for_each_instr(*fn->body, [&version](const ir::Instr&) {
         ++version.static_instrs;
     });
+    version.leakage =
+        security::analyze_taint(*transformed, *fn).leakage_proxy();
+    return version;
+}
 
-    const auto taint = security::analyze_taint(*transformed, *fn);
-    version.leakage = taint.leakage_proxy();
-
+void MultiCriteriaCompiler::analyse(const std::string& function,
+                                    std::size_t opp_index,
+                                    TaskVersion& version) const {
+    version.config.opp_index = opp_index;
+    const ir::Program& program = *version.program;
     if (core_->model.predictable) {
-        const wcet::Analyser wcet_analyser(*transformed);
-        const auto wcet = wcet_analyser.analyse(function, *core_,
-                                                config.opp_index);
-        const energy::Analyser energy_analyser(*transformed);
-        const auto energy = energy_analyser.analyse(function, *core_,
-                                                    config.opp_index);
+        const auto wcet =
+            wcet::Analyser(program).analyse(function, *core_, opp_index);
+        const auto energy =
+            energy::Analyser(program).analyse(function, *core_, opp_index);
         version.analysable = wcet.analysable && energy.analysable;
         version.wcet_s = wcet.time_s;
         version.wcec_j = energy.wcec_j;
         version.time_s = wcet.time_s;
         version.energy_j = energy.wcec_j;
         version.energy_dynamic_j = energy.wce_dynamic_j;
-    } else {
-        // Complex core: representative cost measured over a few simulator
-        // runs (the in-compiler equivalent of a quick profiling pass).
-        constexpr int kRuns = 3;
-        double time_acc = 0.0;
-        double energy_acc = 0.0;
-        double dynamic_acc = 0.0;
-        const ir::Function* entry = transformed->find(function);
-        const std::vector<ir::Word> args(
-            static_cast<std::size_t>(entry->param_count), 0);
-        // Candidate programs are throwaway, so compile the trace directly
-        // (no shared-cache churn) and hand it to each per-run machine.
-        std::shared_ptr<const sim::CompiledTrace> trace;
-        if (sim_.backend == sim::SimBackend::kTrace)
-            trace = sim::TraceCompiler::compile(*transformed, function,
-                                                core_->model);
-        for (int r = 0; r < kRuns; ++r) {
-            sim::Machine machine(*transformed, *core_, config.opp_index,
-                                 /*seed=*/1000 + static_cast<unsigned>(r),
-                                 sim::SimOptions{sim_.backend, nullptr});
-            machine.attach_trace(function, trace);
-            const auto run = machine.run(function, args);
-            time_acc += run.time_s;
-            energy_acc += run.energy_j();
-            dynamic_acc += run.dynamic_energy_j;
-        }
-        version.analysable = false;
-        version.time_s = time_acc / kRuns;
-        version.energy_j = energy_acc / kRuns;
-        version.energy_dynamic_j = dynamic_acc / kRuns;
+        return;
     }
+    // Complex core: representative cost measured over a few simulator runs
+    // (the in-compiler equivalent of a quick profiling pass).
+    constexpr int kRuns = 3;
+    double time_acc = 0.0;
+    double energy_acc = 0.0;
+    double dynamic_acc = 0.0;
+    const ir::Function* entry = program.find(function);
+    const std::vector<ir::Word> args(
+        static_cast<std::size_t>(entry->param_count), 0);
+    // Candidate programs are throwaway, so compile the trace directly (no
+    // shared-cache churn) and hand it to each per-run machine.
+    std::shared_ptr<const sim::CompiledTrace> trace;
+    if (sim_.backend == sim::SimBackend::kTrace)
+        trace = sim::TraceCompiler::compile(program, function, core_->model);
+    for (int r = 0; r < kRuns; ++r) {
+        sim::Machine machine(program, *core_, opp_index,
+                             /*seed=*/1000 + static_cast<unsigned>(r),
+                             sim::SimOptions{sim_.backend, nullptr});
+        machine.attach_trace(function, trace);
+        const auto run = machine.run(function, args);
+        time_acc += run.time_s;
+        energy_acc += run.energy_j();
+        dynamic_acc += run.dynamic_energy_j;
+    }
+    version.analysable = false;
+    version.time_s = time_acc / kRuns;
+    version.energy_j = energy_acc / kRuns;
+    version.energy_dynamic_j = dynamic_acc / kRuns;
+}
+
+TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
+                                           const PassConfig& config) const {
+    TaskVersion version = transform(function, config);
+    analyse(function, config.opp_index, version);
     return version;
+}
+
+std::vector<TaskVersion> MultiCriteriaCompiler::compile_each(
+    const std::string& function,
+    const std::vector<PassConfig>& configs) const {
+    std::map<PassConfig, TaskVersion> compiled;
+    std::vector<TaskVersion> versions;
+    versions.reserve(configs.size());
+    for (const auto& config : configs) {
+        auto it = compiled.find(config);
+        if (it == compiled.end())
+            it = compiled.emplace(config, compile(function, config)).first;
+        versions.push_back(it->second);
+    }
+    return versions;
 }
 
 PassConfig MultiCriteriaCompiler::decode(const Genome& genome,
@@ -176,17 +202,30 @@ PassConfig MultiCriteriaCompiler::decode(const Genome& genome,
     return config;
 }
 
-Objectives MultiCriteriaCompiler::evaluate(const std::string& function,
-                                           const PassConfig& config) const {
-    const TaskVersion version = compile(function, config);
-    return {version.time_s, version.energy_j, version.leakage};
-}
-
 std::vector<TaskVersion> MultiCriteriaCompiler::optimise(
     const std::string& function, const Options& options) const {
     support::Rng rng(options.seed);
-    const EvalFn eval = [this, &function, &options](const Genome& genome) {
-        return evaluate(function, decode(genome, options.explore_security));
+    // A miss on a predictable core fills every OPP at once (the static
+    // analysers take microseconds); on a complex core each OPP is a
+    // simulator campaign, so only the configuration asked for is measured.
+    std::map<PassConfig, Objectives> memo;
+    const EvalFn eval = [&](const Genome& genome) {
+        const PassConfig config = decode(genome, options.explore_security);
+        if (const auto it = memo.find(config); it != memo.end())
+            return it->second;
+        TaskVersion version = transform(function, config);
+        const auto remember = [&](std::size_t opp) {
+            analyse(function, opp, version);
+            memo.emplace(version.config,
+                         Objectives{version.time_s, version.energy_j,
+                                    version.leakage});
+        };
+        if (core_->model.predictable)
+            for (std::size_t opp = 0; opp < core_->opps.size(); ++opp)
+                remember(opp);
+        else
+            remember(config.opp_index);
+        return memo.at(config);
     };
 
     MooRun run;
@@ -215,12 +254,12 @@ std::vector<TaskVersion> MultiCriteriaCompiler::optimise(
     }
 
     // Materialise versions from the front plus the traditional baseline.
-    std::vector<TaskVersion> versions;
-    versions.reserve(run.front.size() + 1);
+    std::vector<PassConfig> configs;
+    configs.reserve(run.front.size() + 1);
     for (const auto& solution : run.front)
-        versions.push_back(compile(
-            function, decode(solution.genome, options.explore_security)));
-    versions.push_back(compile(function, traditional_config()));
+        configs.push_back(decode(solution.genome, options.explore_security));
+    configs.push_back(traditional_config());
+    std::vector<TaskVersion> versions = compile_each(function, configs);
 
     // Non-dominated filter over the materialised set (the baseline may be
     // dominated; keep it only if it survives).

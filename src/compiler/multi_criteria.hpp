@@ -14,6 +14,7 @@
 // (multi-version task scheduling, Roeder et al. [20]).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +45,9 @@ struct PassConfig {
     std::size_t opp_index = 0;
 
     [[nodiscard]] std::string label() const;
+
+    /// All nine fields, in declaration order (the search memo's key).
+    auto operator<=>(const PassConfig&) const = default;
 };
 
 /// A compiled task version with its analysed ETS properties.
@@ -76,6 +80,12 @@ public:
     [[nodiscard]] TaskVersion compile(const std::string& function,
                                       const PassConfig& config) const;
 
+    /// One version per entry of `configs`, in order, compiling each
+    /// distinct configuration once: repeats share the first one's program.
+    [[nodiscard]] std::vector<TaskVersion> compile_each(
+        const std::string& function,
+        const std::vector<PassConfig>& configs) const;
+
     enum class Engine : std::uint8_t { kFpa, kNsga2, kWeightedSum };
 
     struct Options {
@@ -93,6 +103,13 @@ public:
     /// Multi-objective search; returns the non-dominated versions sorted by
     /// ascending time.  Always includes the baseline config (all scalar
     /// passes, no unroll/inline, max frequency) for reference.
+    ///
+    /// The search memoises objective vectors per PassConfig, so a repeated
+    /// configuration is never compiled twice.  On a predictable core a
+    /// memo miss applies the passes once and analyses the program at every
+    /// OPP of the core, since the OPP only rescales time and energy.  The
+    /// memo keeps objectives, not programs; the front's configurations are
+    /// compiled again, once each, when the versions are materialised.
     [[nodiscard]] std::vector<TaskVersion> optimise(
         const std::string& function, const Options& options) const;
 
@@ -104,13 +121,26 @@ public:
     /// passes, no multi-objective exploration, maximum frequency.
     [[nodiscard]] PassConfig traditional_config() const;
 
+    /// Pass applications (clone + passes of one configuration) this
+    /// compiler has run: a deterministic work counter.
+    [[nodiscard]] std::size_t transforms() const {
+        return transforms_.load(std::memory_order_relaxed);
+    }
+
 private:
-    [[nodiscard]] Objectives evaluate(const std::string& function,
-                                      const PassConfig& config) const;
+    /// Clone the source and apply `config`'s passes: a version with the
+    /// program and its OPP-independent properties (code size, leakage).
+    [[nodiscard]] TaskVersion transform(const std::string& function,
+                                        const PassConfig& config) const;
+    /// Analyse the transformed `version` at `opp_index`: its time and
+    /// energy there, and the OPP in its configuration.
+    void analyse(const std::string& function, std::size_t opp_index,
+                 TaskVersion& version) const;
 
     const ir::Program* source_;
     const platform::Core* core_;
     sim::SimOptions sim_;
+    mutable std::atomic<std::size_t> transforms_{0};
 };
 
 /// Number of genome dimensions used by `decode`.

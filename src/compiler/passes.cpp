@@ -3,7 +3,6 @@
 #include <bit>
 #include <map>
 #include <optional>
-#include <set>
 
 namespace teamplay::compiler {
 
@@ -58,6 +57,75 @@ std::optional<Word> eval_unop(Opcode op, Word a) {
 bool is_binop(Opcode op) {
     return ir::reads_a(op) && ir::reads_b(op) && op != Opcode::kStore &&
            op != Opcode::kSelect;
+}
+
+/// A set of registers, one flag per register number: the passes query
+/// register sets in their inner loops, where a tree set's allocations
+/// dominate.  Negative numbers (kNoReg) are never members.
+class RegSet {
+public:
+    void insert(Reg r) {
+        if (r < 0) return;
+        const auto i = static_cast<std::size_t>(r);
+        if (i >= flags_.size()) flags_.resize(i + 1, 0);
+        flags_[i] = 1;
+    }
+    [[nodiscard]] bool contains(Reg r) const {
+        return r >= 0 && static_cast<std::size_t>(r) < flags_.size() &&
+               flags_[static_cast<std::size_t>(r)] != 0;
+    }
+    /// Keep only the members of `other`.
+    void intersect(const RegSet& other) {
+        for (std::size_t i = 0; i < flags_.size(); ++i)
+            flags_[i] = flags_[i] != 0 && i < other.flags_.size() &&
+                        other.flags_[i] != 0;
+    }
+
+private:
+    std::vector<char> flags_;
+};
+
+/// Add the registers `node` itself reads (not its children) to `read`.
+void add_own_reads(const ir::Node& node, RegSet& read) {
+    switch (node.kind) {
+        case ir::NodeKind::kBlock:
+            for (const auto& instr : node.instrs) {
+                if (ir::reads_a(instr.op)) read.insert(instr.a);
+                if (ir::reads_b(instr.op)) read.insert(instr.b);
+                if (ir::reads_c(instr.op)) read.insert(instr.c);
+            }
+            break;
+        case ir::NodeKind::kIf:
+            read.insert(node.cond);
+            break;
+        case ir::NodeKind::kLoop:
+            read.insert(node.trip_reg);
+            break;
+        case ir::NodeKind::kCall:
+            for (const Reg arg : node.args) read.insert(arg);
+            break;
+        default:
+            break;
+    }
+}
+
+/// Registers `fn` reads outside the subtree `skip`, its return register
+/// included: the reads that can observe a register before or after `skip`
+/// runs.
+RegSet reads_outside(const ir::Function& fn, const ir::Node& skip) {
+    RegSet read;
+    read.insert(fn.ret_reg);
+    const auto walk = [&read, &skip](const auto& self,
+                                     const ir::Node& node) -> void {
+        if (&node == &skip) return;
+        add_own_reads(node, read);
+        for (const auto& child : node.children) self(self, *child);
+        if (node.then_branch) self(self, *node.then_branch);
+        if (node.else_branch) self(self, *node.else_branch);
+        if (node.body) self(self, *node.body);
+    };
+    walk(walk, *fn.body);
+    return read;
 }
 
 }  // namespace
@@ -237,31 +305,10 @@ int dce(ir::Function& fn) {
     int removed_total = 0;
     for (;;) {
         // Whole-function read set.
-        std::set<Reg> read;
-        if (fn.ret_reg != ir::kNoReg) read.insert(fn.ret_reg);
-        ir::visit(*fn.body, [&read](const ir::Node& node) {
-            switch (node.kind) {
-                case ir::NodeKind::kBlock:
-                    for (const auto& instr : node.instrs) {
-                        if (ir::reads_a(instr.op)) read.insert(instr.a);
-                        if (ir::reads_b(instr.op)) read.insert(instr.b);
-                        if (ir::reads_c(instr.op)) read.insert(instr.c);
-                    }
-                    break;
-                case ir::NodeKind::kIf:
-                    read.insert(node.cond);
-                    break;
-                case ir::NodeKind::kLoop:
-                    if (node.trip_reg != ir::kNoReg)
-                        read.insert(node.trip_reg);
-                    break;
-                case ir::NodeKind::kCall:
-                    for (const Reg arg : node.args) read.insert(arg);
-                    break;
-                default:
-                    break;
-            }
-        });
+        RegSet read;
+        read.insert(fn.ret_reg);
+        ir::visit(*fn.body,
+                  [&read](const ir::Node& n) { add_own_reads(n, read); });
 
         int removed = 0;
         ir::visit(*fn.body, [&read, &removed](ir::Node& node) {
@@ -306,11 +353,71 @@ std::map<Reg, int> def_counts(const ir::Function& fn) {
     return counts;
 }
 
+/// A loop whose body runs at least once each time the loop is reached.
+bool runs_at_least_once(const ir::Node& loop) {
+    return loop.trip_reg == ir::kNoReg && loop.trip > 0;
+}
+
+/// Track the registers defined on every path through `node` (`defined`,
+/// updated in place) and record each read of a register that some path
+/// reaches before defining it.  A loop body is followed once, from its
+/// entry state: later iterations only see more registers defined.
+void must_define(const ir::Node& node, RegSet& defined, RegSet& exposed) {
+    const auto read = [&](Reg r) {
+        if (!defined.contains(r)) exposed.insert(r);
+    };
+    switch (node.kind) {
+        case ir::NodeKind::kBlock:
+            for (const auto& instr : node.instrs) {
+                if (ir::reads_a(instr.op)) read(instr.a);
+                if (ir::reads_b(instr.op)) read(instr.b);
+                if (ir::reads_c(instr.op)) read(instr.c);
+                if (ir::writes_dst(instr.op)) defined.insert(instr.dst);
+            }
+            break;
+        case ir::NodeKind::kSeq:
+            for (const auto& child : node.children)
+                must_define(*child, defined, exposed);
+            break;
+        case ir::NodeKind::kIf: {
+            read(node.cond);
+            auto then_defined = defined;
+            must_define(*node.then_branch, then_defined, exposed);
+            if (node.else_branch)
+                must_define(*node.else_branch, defined, exposed);
+            defined.intersect(then_defined);
+            break;
+        }
+        case ir::NodeKind::kLoop: {
+            read(node.trip_reg);
+            auto body_defined = defined;
+            body_defined.insert(node.index_reg);
+            must_define(*node.body, body_defined, exposed);
+            if (runs_at_least_once(node)) defined = std::move(body_defined);
+            break;
+        }
+        case ir::NodeKind::kCall:
+            for (const Reg arg : node.args) read(arg);
+            defined.insert(node.ret);
+            break;
+    }
+}
+
+/// Registers of `fn` that some path may read before writing them, its
+/// return register included, given the registers defined on entry.
+RegSet upward_exposed(const ir::Function& fn, RegSet defined) {
+    RegSet exposed;
+    must_define(*fn.body, defined, exposed);
+    if (!defined.contains(fn.ret_reg)) exposed.insert(fn.ret_reg);
+    return exposed;
+}
+
 /// Pull hoistable kMovImm instructions out of `node` (recursively), given
-/// the single-def register set.  Collected instructions are appended to
+/// the single-def register set and the registers some read may see
+/// before their definition.  Collected instructions are appended to
 /// `hoisted` in program order.
 void extract_constants(ir::Node& node, const std::map<Reg, int>& defs,
-                       std::vector<Instr>& hoisted) {
+                       const RegSet& exposed, std::vector<Instr>& hoisted) {
     ir::visit(node, [&](ir::Node& n) {
         if (n.kind != ir::NodeKind::kBlock) return;
         auto& instrs = n.instrs;
@@ -319,7 +426,7 @@ void extract_constants(ir::Node& node, const std::map<Reg, int>& defs,
             const bool hoistable =
                 it->op == Opcode::kMovImm && it->dst != ir::kNoReg &&
                 !it->secret && defs.count(it->dst) != 0 &&
-                defs.at(it->dst) == 1;
+                defs.at(it->dst) == 1 && !exposed.contains(it->dst);
             if (hoistable) {
                 hoisted.push_back(*it);
             } else {
@@ -333,14 +440,15 @@ void extract_constants(ir::Node& node, const std::map<Reg, int>& defs,
 /// Recursive LICM over a region: loops found under `node` get their
 /// single-def constants moved into a prelude block inserted before them in
 /// the surrounding Seq.
-int hoist_in_children(ir::Node& node, const std::map<Reg, int>& defs) {
+int hoist_in_children(ir::Node& node, const std::map<Reg, int>& defs,
+                      const RegSet& exposed) {
     int hoisted_total = 0;
     if (node.kind == ir::NodeKind::kSeq) {
         for (std::size_t i = 0; i < node.children.size(); ++i) {
             ir::Node& child = *node.children[i];
             if (child.kind == ir::NodeKind::kLoop) {
                 std::vector<Instr> hoisted;
-                extract_constants(*child.body, defs, hoisted);
+                extract_constants(*child.body, defs, exposed, hoisted);
                 hoisted_total += static_cast<int>(hoisted.size());
                 if (!hoisted.empty()) {
                     node.children.insert(
@@ -350,21 +458,20 @@ int hoist_in_children(ir::Node& node, const std::map<Reg, int>& defs) {
                     ++i;  // skip the prelude we just inserted
                 }
             } else {
-                hoisted_total += hoist_in_children(child, defs);
+                hoisted_total += hoist_in_children(child, defs, exposed);
             }
         }
     } else {
-        if (node.then_branch)
-            hoisted_total += hoist_in_children(*node.then_branch, defs);
-        if (node.else_branch)
-            hoisted_total += hoist_in_children(*node.else_branch, defs);
-        if (node.body) hoisted_total += hoist_in_children(*node.body, defs);
+        for (ir::Node* branch : {node.then_branch.get(),
+                                 node.else_branch.get(), node.body.get()})
+            if (branch != nullptr)
+                hoisted_total += hoist_in_children(*branch, defs, exposed);
     }
     return hoisted_total;
 }
 
-/// The only genuine unrolling hazard on this IR: a body that writes the
-/// loop's own index register (the replicas' remapped index chain would be
+/// The first unrolling hazard on this IR: a body that writes the loop's
+/// own index register (the replicas' remapped index chain would be
 /// clobbered).  Loop-carried *data* registers are safe: replicating the
 /// body f times executes exactly the same iteration sequence, so register
 /// and memory state flow identically to the rolled loop.
@@ -424,8 +531,14 @@ void remap_reads(ir::Node& node, Reg from, Reg to) {
 }  // namespace
 
 int hoist_loop_constants(ir::Function& fn) {
+    // A hoisted constant is defined from the loop's entry on.  That is
+    // invisible exactly when no read can reach its register before the one
+    // definition ran: not in the first iteration ahead of it, not around an
+    // If that skips it, not after a loop that ran zero times.  Parameters
+    // count as undefined here, so a read of the caller's value pins them.
     const auto defs = def_counts(fn);
-    return hoist_in_children(*fn.body, defs);
+    const auto exposed = upward_exposed(fn, {});
+    return hoist_in_children(*fn.body, defs, exposed);
 }
 
 int unroll_loops(ir::Function& fn, int factor) {
@@ -445,6 +558,13 @@ int unroll_loops(ir::Function& fn, int factor) {
         });
         if (has_inner_loop) return;
         if (body_writes_index(*node.body, node.index_reg)) return;
+        // The second hazard: the index register keeps the last published
+        // index after the loop, (trip-1)*stride rolled but
+        // (trip/factor-1)*stride*factor unrolled, so no read outside the
+        // body may see it.
+        if (node.index_reg != ir::kNoReg &&
+            reads_outside(fn, *node.body).contains(node.index_reg))
+            return;
 
         // One stride constant per unrolled iteration, then chained index
         // increments: idx_k = idx_{k-1} + stride.  Cost per unrolled
@@ -546,6 +666,16 @@ int inline_calls(const ir::Program& program, ir::Function& fn,
                                       .dst = static_cast<Reg>(base) +
                                              static_cast<Reg>(i),
                                       .a = node.args[i]});
+        // A call starts the callee's registers at zero; an inlined body in
+        // a loop would instead see what its previous pass left, so zero
+        // every register it may read before writing.
+        RegSet params;
+        for (Reg p = 0; p < callee->param_count; ++p) params.insert(p);
+        const RegSet exposed = upward_exposed(*callee, std::move(params));
+        for (Reg r = 0; r < callee->reg_count; ++r)
+            if (exposed.contains(r))
+                arg_moves.push_back(
+                    Instr{.op = Opcode::kMovImm, .dst = r + base, .imm = 0});
         std::vector<ir::NodePtr> seq;
         if (!arg_moves.empty())
             seq.push_back(ir::Node::block(std::move(arg_moves)));

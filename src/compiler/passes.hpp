@@ -37,22 +37,28 @@ int dce(ir::Function& fn);
 
 /// Loop-invariant constant hoisting (LICM restricted to kMovImm): moves
 /// constant materialisations whose destination has exactly one definition in
-/// the function out of every enclosing loop.  Safe because a single-def
-/// immediate produces the same value on every iteration; a zero-trip loop
-/// merely defines registers nobody reads.  Returns #instructions hoisted.
+/// the function out of every enclosing loop.  A single-def immediate
+/// produces the same value wherever it has run, so hoisting it is safe
+/// when no read can reach its register before that one definition: the
+/// pass skips registers read ahead of the definition in a loop's first
+/// iteration, around an If that skips it, after a loop that may run zero
+/// times, or (parameters) before they are overwritten.
+/// Returns #instructions hoisted.
 int hoist_loop_constants(ir::Function& fn);
 
-/// Unroll counted loops by `factor`.  Applicable when the loop has a static
-/// trip count divisible by the factor, the body does not write the index
-/// register, and the body carries no loop-to-loop register dependencies
-/// (state must flow through memory, which the use-case kernels respect; the
-/// check is conservative).  Returns #loops unrolled.
+/// Unroll innermost counted loops by `factor`.  Applicable when the loop
+/// has a static trip count divisible by the factor, the body does not write
+/// the index register, and nothing outside the body reads the index
+/// register (its value after the loop changes with the stride).
+/// Returns #loops unrolled.
 int unroll_loops(ir::Function& fn, int factor);
 
 /// Inline call sites whose callee has at most `max_callee_instrs` static
-/// instructions (negative = inline everything).  Inlining is transitive:
-/// calls inside an inlined body are themselves considered (terminates
-/// because the IR forbids recursion).  Returns #calls inlined.
+/// instructions (negative = inline everything).  The inlined body zeroes
+/// the callee registers it may read before writing, as a call would.
+/// Inlining is transitive: calls inside an inlined body are themselves
+/// considered (terminates because the IR forbids recursion).
+/// Returns #calls inlined.
 int inline_calls(const ir::Program& program, ir::Function& fn,
                  int max_callee_instrs = -1);
 

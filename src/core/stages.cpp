@@ -129,17 +129,21 @@ std::vector<compiler::TaskVersion> compile_front(
     compiler_options.explore_security = task_spec.security_hint == "auto";
     auto front = mcc.optimise(task_spec.entry, compiler_options);
 
-    // A fixed security hint overrides the knob on every version.
+    // A fixed security hint overrides the knob on every version.  Forcing
+    // the level can make two versions' configurations equal; compile_each
+    // compiles each distinct one once.
     if (task_spec.security_hint == "balance" ||
         task_spec.security_hint == "ladder") {
         const auto forced = task_spec.security_hint == "balance"
                                 ? compiler::SecurityLevel::kBalance
                                 : compiler::SecurityLevel::kLadder;
-        for (auto& version : front) {
-            auto config = version.config;
-            config.security = forced;
-            version = mcc.compile(task_spec.entry, config);
+        std::vector<compiler::PassConfig> configs;
+        configs.reserve(front.size());
+        for (const auto& version : front) {
+            configs.push_back(version.config);
+            configs.back().security = forced;
         }
+        front = mcc.compile_each(task_spec.entry, configs);
     }
     return front;
 }

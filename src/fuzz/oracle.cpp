@@ -9,6 +9,7 @@
 #include "core/wire.hpp"
 #include "net/remote_shard.hpp"
 #include "net/shard_server.hpp"
+#include "sim/machine.hpp"
 #include "sim/trace.hpp"
 
 namespace teamplay::fuzz {
@@ -27,12 +28,72 @@ core::ScenarioRequest scenario_request(const GeneratedScenario& scenario,
 
 namespace {
 
-std::size_t first_mismatch(const std::vector<std::uint8_t>& a,
-                           const std::vector<std::uint8_t>& b) {
+template <typename T>
+std::size_t first_mismatch(const std::vector<T>& a, const std::vector<T>& b) {
     const std::size_t n = std::min(a.size(), b.size());
     std::size_t offset = 0;
     while (offset < n && a[offset] == b[offset]) ++offset;
     return offset;
+}
+
+struct Execution {
+    sim::RunResult result;
+    std::vector<ir::Word> memory;
+};
+
+/// One run of `function` with zero arguments on a fresh interpreter
+/// machine (zeroed memory).
+Execution execute(const ir::Program& program, const platform::Core& core,
+                  std::size_t opp, const std::string& function) {
+    sim::Machine machine(program, core, opp, /*seed=*/1,
+                         sim::SimOptions{sim::SimBackend::kInterp, nullptr});
+    const std::vector<ir::Word> args(
+        static_cast<std::size_t>(program.find(function)->param_count), 0);
+    Execution out;
+    out.result = machine.run(function, args);
+    out.memory = machine.peek_span(0, program.memory_words);
+    return out;
+}
+
+/// The exec/source obligation (see the header): the first task whose
+/// chosen version does not behave as its source, described.
+std::optional<std::string> execution_mismatch(
+    const GeneratedScenario& scenario, const core::ToolchainReport& report) {
+    // The slack the contract checker allows a bound (contracts::verify_proof).
+    const auto within = [](double value, double bound) {
+        return value <= bound * (1.0 + 1e-9);
+    };
+    for (const auto& entry : report.schedule.entries) {
+        const auto* spec = report.spec.find(entry.task);
+        const auto* version = report.chosen_version(entry.task);
+        const std::string where = "task '" + entry.task + "'";
+        if (spec == nullptr || version == nullptr ||
+            version->program == nullptr)
+            return where + ": no compiled version";
+        const auto& core = scenario.platform.cores.at(entry.core);
+        const std::size_t opp = version->config.opp_index;
+        const auto compiled =
+            execute(*version->program, core, opp, spec->entry);
+        const auto source = execute(scenario.program, core, opp, spec->entry);
+        const std::string what =
+            where + " (" + spec->entry + ", " + version->config.label() + ")";
+        if (compiled.result.ret_value != source.result.ret_value)
+            return what + ": returns " +
+                   std::to_string(compiled.result.ret_value) +
+                   ", source returns " +
+                   std::to_string(source.result.ret_value);
+        if (compiled.memory != source.memory) {
+            const std::size_t word = first_mismatch(compiled.memory,
+                                                    source.memory);
+            return what + ": memory word " + std::to_string(word) +
+                   " differs";
+        }
+        if (!within(compiled.result.time_s, version->wcet_s))
+            return what + ": simulated time exceeds the WCET";
+        if (!within(compiled.result.energy_j(), version->wcec_j))
+            return what + ": simulated energy exceeds the WCEC";
+    }
+    return std::nullopt;
 }
 
 }  // namespace
@@ -53,6 +114,10 @@ OracleConfig::OracleConfig() : options(fuzz_workflow_options()) {}
 
 std::string Divergence::to_string() const {
     std::ostringstream out;
+    if (!detail.empty()) {
+        out << "tier=" << tier << " " << detail;
+        return out.str();
+    }
     out << "tier=" << tier << " first-diff-byte=" << byte_offset
         << " reference-bytes=" << reference_size
         << " tier-bytes=" << tier_size;
@@ -85,10 +150,19 @@ OracleResult DifferentialOracle::check(
         scenario_request(scenario, scenario.program, config_.options);
 
     result.tiers.push_back("engine/single");
-    const auto reference_bytes = canonical_bytes([&] {
+    const auto reference_report = [&] {
         core::ScenarioEngine engine;
         return engine.run(request);
-    }());
+    }();
+    const auto reference_bytes = canonical_bytes(reference_report);
+
+    if (scenario.platform.predictable()) {
+        result.tiers.push_back("exec/source");
+        if (auto mismatch = execution_mismatch(scenario, reference_report)) {
+            result.divergence =
+                Divergence{"exec/source", 0, 0, 0, std::move(*mismatch)};
+        }
+    }
 
     // Run one tier and compare its bytes against the reference; stop the
     // sweep at the first divergence so the recorded tier pair is minimal.
@@ -99,7 +173,7 @@ OracleResult DifferentialOracle::check(
         if (bytes == reference_bytes) return;
         result.divergence =
             Divergence{tier, first_mismatch(reference_bytes, bytes),
-                       reference_bytes.size(), bytes.size()};
+                       reference_bytes.size(), bytes.size(), {}};
     };
 
     run_tier("engine/threads", [&] {
@@ -136,7 +210,7 @@ OracleResult DifferentialOracle::check(
             // against those, not the report encoding.
             result.divergence = Divergence{
                 "wire/request", first_mismatch(encoded, re_encoded),
-                encoded.size(), re_encoded.size()};
+                encoded.size(), re_encoded.size(), {}};
             return reference_bytes;
         }
         core::ScenarioEngine engine;

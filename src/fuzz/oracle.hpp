@@ -21,6 +21,16 @@
 //                    re-encode must also be byte-identical to the first
 //   wire/report      report encoding survives decode→re-encode
 //   net/loopback     (optional) ShardServer + RemoteShard over real TCP
+//
+// One semantic obligation rides along on predictable boards, where the
+// report's bounds are static:
+//   exec/source      each task's chosen version and the source program run
+//                    on fresh interpreter machines from zeroed memory with
+//                    zero arguments; they must return the same value and
+//                    leave the same memory image, and the simulated time
+//                    and energy must stay within the version's WCET and
+//                    WCEC.  The tiers above compare the toolchain with
+//                    itself; this one compares it with the program.
 #pragma once
 
 #include <cstddef>
@@ -57,13 +67,16 @@ struct OracleConfig {
 /// they are part of every cache key and every tier must agree on them.
 [[nodiscard]] core::WorkflowOptions fuzz_workflow_options();
 
-/// First disagreement between a tier and the reference encoding.
+/// First disagreement between a tier and the reference encoding, or the
+/// first broken semantic obligation (then `detail` says what broke and the
+/// byte fields stay zero).
 struct Divergence {
     std::string tier;             ///< tier name (see header comment)
     std::size_t byte_offset = 0;  ///< first differing byte (min size if
                                   ///< one encoding is a prefix)
     std::size_t reference_size = 0;
     std::size_t tier_size = 0;
+    std::string detail;           ///< obligation tiers only
 
     [[nodiscard]] std::string to_string() const;
 };

@@ -3,12 +3,16 @@
 // metric; the multi-objective engines produce valid Pareto fronts.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "compiler/moo.hpp"
 #include "compiler/multi_criteria.hpp"
 #include "compiler/passes.hpp"
+#include "fuzz/generator.hpp"
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "sim/machine.hpp"
+#include "usecases/kernels.hpp"
 #include "wcet/analyser.hpp"
 
 namespace {
@@ -453,6 +457,133 @@ TEST(Inline, TransitiveThroughNestedCalls) {
     expect_same_results(before, after, "outer");
 }
 
+// -- Miscompile regressions ------------------------------------------------------
+//
+// Each hazard once as a minimal hand-built kernel, then as the generated
+// program on which it was first seen (fuzz::ProgramGenerator on predictable
+// boards), run with zero arguments from zeroed memory as the profiler and
+// the fuzz oracle run entries.
+
+using Outcome = std::pair<ir::Word, std::vector<ir::Word>>;
+
+Outcome run_zeroed(const ir::Program& program, const std::string& fn) {
+    sim::Machine machine(program, nucleo().cores[0], 0);
+    const std::vector<ir::Word> args(
+        static_cast<std::size_t>(program.find(fn)->param_count), 0);
+    const auto result = machine.run(fn, args);
+    return {result.ret_value, machine.peek_span(0, program.memory_words)};
+}
+
+fuzz::GeneratedScenario predictable_scenario(std::uint64_t seed) {
+    fuzz::GeneratorConfig config;
+    config.allow_complex_platforms = false;
+    return fuzz::ProgramGenerator(config).scenario(seed);
+}
+
+TEST(Licm, KeepsConstantsDefinedUnderAnIf) {
+    // mem[i] = k, where k = 7 is set only from the second iteration on:
+    // hoisting k would make mem[0] 7 too.
+    ir::FunctionBuilder b("f", 0);
+    const auto i = b.loop_begin(4);
+    b.if_begin(i);
+    const auto k = b.imm(7);
+    b.if_end();
+    b.store(i, k);
+    b.loop_end();
+    b.ret(b.imm(0));
+    const auto before = single(b.build());
+    auto after = before;
+    EXPECT_EQ(compiler::hoist_loop_constants(*after.find("f")), 0);
+    EXPECT_EQ(run_zeroed(before, "f"), run_zeroed(after, "f"));
+}
+
+TEST(Licm, GeneratedProgramKeepsItsMemoryImage) {
+    // Seed 0x3cd17d5aaaf25aa9, fz_f3: hoisting constants out of an If in a
+    // loop once changed memory words 62 and 880.
+    const auto scenario = predictable_scenario(0x3cd17d5aaaf25aa9ull);
+    auto after = scenario.program;
+    compiler::hoist_loop_constants(*after.find("fz_f3"));
+    EXPECT_EQ(run_zeroed(scenario.program, "fz_f3"),
+              run_zeroed(after, "fz_f3"));
+}
+
+TEST(Unroll, SkipsLoopsWhoseIndexIsReadAfterTheLoop) {
+    // The index keeps (trip-1)*stride after the rolled loop: 3 here, but
+    // 2 after unrolling by 2.
+    ir::FunctionBuilder b("f", 0);
+    const auto i = b.loop_begin(4);
+    b.store(i, i);
+    b.loop_end();
+    b.ret(i);
+    const auto before = single(b.build());
+    auto after = before;
+    EXPECT_EQ(compiler::unroll_loops(*after.find("f"), 2), 0);
+    EXPECT_EQ(run_zeroed(after, "f").first, 3);
+}
+
+TEST(Unroll, GeneratedProgramKeepsItsReturnValue) {
+    // Seed 0xf29cc6b4ae068f94, fz_f2 returns 69; unrolled by 2 or 4 it once
+    // returned 68 or 66, reading a loop index after its loop.
+    const auto scenario = predictable_scenario(0xf29cc6b4ae068f94ull);
+    ASSERT_EQ(run_zeroed(scenario.program, "fz_f2").first, 69);
+    for (const int factor : {2, 4, 8}) {
+        auto after = scenario.program;
+        compiler::unroll_loops(*after.find("fz_f2"), factor);
+        EXPECT_EQ(run_zeroed(scenario.program, "fz_f2"),
+                  run_zeroed(after, "fz_f2"))
+            << "factor " << factor;
+    }
+}
+
+TEST(Inline, ZeroesCalleeRegistersOnEveryPassThroughALoop) {
+    // pick(p) returns 5 when p is set and 0 otherwise (a fresh frame).
+    // Inlined in a loop, the second pass once saw the first pass's 5.
+    ir::FunctionBuilder pick("pick", 1);
+    pick.if_begin(pick.param(0));
+    const auto five = pick.imm(5);
+    pick.if_end();
+    pick.ret(five);
+    ir::FunctionBuilder b("f", 0);
+    const auto i = b.loop_begin(2);
+    b.store(i, b.call("pick", {b.cmp_eq(i, b.imm(0))}));
+    b.loop_end();
+    b.ret(b.imm(0));
+    ir::Program before;
+    before.add(pick.build());
+    before.add(b.build());
+    auto after = before;
+    EXPECT_EQ(compiler::inline_calls(after, *after.find("f")), 1);
+    EXPECT_EQ(run_zeroed(before, "f"), run_zeroed(after, "f"));
+}
+
+TEST(MultiCriteria, GeneratedProgramsRunAsTheirSourceUnderEveryConfiguration) {
+    // Every pass configuration of every function of generated programs:
+    // seeds 1-64 cover the LICM and unrolling hazards above, 0xc8 and
+    // 0x23e the inlining one.
+    std::vector<std::uint64_t> seeds = {0xc8, 0x23e};
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) seeds.push_back(seed);
+    for (const std::uint64_t seed : seeds) {
+        const auto scenario = predictable_scenario(seed);
+        const compiler::MultiCriteriaCompiler mcc(scenario.program,
+                                                  nucleo().cores[0]);
+        for (const auto& [name, fn] : scenario.program.functions) {
+            const auto source = run_zeroed(scenario.program, name);
+            for (int knobs = 0; knobs < 48; ++knobs) {
+                compiler::PassConfig config;
+                config.unroll_factor = 1 << (knobs % 4);
+                config.inline_calls_pass = (knobs / 4) % 2 == 1;
+                config.licm = (knobs / 8) % 2 == 1;
+                config.security =
+                    static_cast<compiler::SecurityLevel>(knobs / 16);
+                const auto version = mcc.compile(name, config);
+                ASSERT_EQ(run_zeroed(*version.program, name), source)
+                    << "seed 0x" << std::hex << seed << " " << name << " "
+                    << config.label();
+            }
+        }
+    }
+}
+
 // -- MOO engines ------------------------------------------------------------------
 
 TEST(Moo, DominationBasics) {
@@ -622,6 +753,203 @@ TEST(MultiCriteria, AllVersionsPreserveTaskSemantics) {
     const auto front = mcc.optimise("task", options);
     for (const auto& version : front)
         expect_same_results(program, *version.program, "task");
+}
+
+// -- Memoised search ----------------------------------------------------------
+
+/// XTEA over a small buffer: a call (inlining), a 32-round loop (unrolling
+/// once inlined), secret key words (security levels) and constants (LICM).
+ir::Program xtea_kernel() {
+    ir::Program program;
+    program.memory_words = 256;
+    program.add(usecases::make_xtea_encrypt_block("block", 0, 8));
+    program.add(usecases::make_xtea_buffer("task", "block", 16, 64, 12, 8, 8));
+    return program;
+}
+
+struct GoldenVersion {
+    const char* board;
+    compiler::MultiCriteriaCompiler::Engine engine;
+    const char* label;
+    double time_s, energy_j, energy_dynamic_j, wcet_s, wcec_j, leakage;
+    int static_instrs;
+};
+
+constexpr auto kFpa = compiler::MultiCriteriaCompiler::Engine::kFpa;
+constexpr auto kNsga2 = compiler::MultiCriteriaCompiler::Engine::kNsga2;
+constexpr auto kWeightedSum =
+    compiler::MultiCriteriaCompiler::Engine::kWeightedSum;
+
+// The fronts the search returned for xtea_kernel() before it was memoised,
+// with population 10, 8 iterations and seed 7, on each board's first core.
+const GoldenVersion kGoldenFronts[] = {
+    {"nucleo-f091", kFpa, "u8+inl+sr+licm+dce/sec=ladder/opp2",
+     0x1.baef9c4c43164p-14, 0x1.2553ec9e8e5acp-20, 0x1.12d4279ef9c4ap-21,
+     0x1.baef9c4c43164p-14, 0x1.2553ec9e8e5acp-20, 0x0p+0, 337},
+    {"nucleo-f091", kNsga2, "u8+inl+cse+licm+dce/sec=ladder/opp2",
+     0x1.200d74ebf391fp-13, 0x1.7e4226a306dep-20, 0x1.66f054ae0eda2p-21,
+     0x1.200d74ebf391fp-13, 0x1.7e4226a306dep-20, 0x0p+0, 421},
+    {"nucleo-f091", kNsga2, "u2+inl+cse+licm+dce/sec=balance/opp0",
+     0x1.bca9691a75cd1p-11, 0x1.4a966711180bep-20, 0x1.f6bfde3a1b54ap-22,
+     0x1.bca9691a75cd1p-11, 0x1.4a966711180bep-20, 0x0p+0, 133},
+    {"nucleo-f091", kWeightedSum, "u1+inl+cse+sr+licm+dce/sec=balance/opp2",
+     0x1.33a0407cc7d1cp-13, 0x1.8f95f28492e72p-20, 0x1.6e08b957689ecp-21,
+     0x1.33a0407cc7d1cp-13, 0x1.8f95f28492e72p-20, 0x0p+0, 85},
+    {"nucleo-f091", kWeightedSum, "u8+inl+cse+licm+dce/sec=balance/opp0",
+     0x1.b0142f61ed5aep-11, 0x1.43bbc3ea9bc06p-20, 0x1.f286ae7ff82ecp-22,
+     0x1.b0142f61ed5aep-11, 0x1.43bbc3ea9bc06p-20, 0x0p+0, 421},
+    {"gr712rc", kFpa, "u8+inl+licm+dce/sec=none/opp2",
+     0x1.aae5715e67139p-15, 0x1.2851e026b674fp-16, 0x1.4174e10a2b497p-19,
+     0x1.aae5715e67139p-15, 0x1.2851e026b674fp-16, 0x0p+0, 337},
+    {"gr712rc", kNsga2, "u8+inl+sr+licm+dce/sec=ladder/opp1",
+     0x1.0acf66db006c3p-14, 0x1.0c8e9a6f2ad6ap-16, 0x1.0e1ce0a6c45f7p-19,
+     0x1.0acf66db006c3p-14, 0x1.0c8e9a6f2ad6ap-16, 0x0p+0, 337},
+    {"gr712rc", kWeightedSum, "u1+inl+cse+sr+licm+dce/sec=balance/opp2",
+     0x1.2cdb8043dd249p-14, 0x1.9eee05e776c5ap-16, 0x1.af34f97d04ce3p-19,
+     0x1.2cdb8043dd249p-14, 0x1.9eee05e776c5ap-16, 0x0p+0, 85},
+    {"gr712rc", kWeightedSum, "u8+inl+cse+licm+dce/sec=balance/opp0",
+     0x1.155e8bfc780b3p-13, 0x1.873610b7c061p-16, 0x1.216d7ba4bae74p-19,
+     0x1.155e8bfc780b3p-13, 0x1.873610b7c061p-16, 0x0p+0, 421},
+    {"apalis-tk1", kFpa, "u2+inl+dce/sec=ladder/opp3",
+     0x1.70460de85ee9cp-30, 0x1.9232a512305a5p-29, 0x1.eb5cf185433acp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 139},
+    {"apalis-tk1", kFpa, "u2+dce/sec=balance/opp2",
+     0x1.bce5a40b0db6p-30, 0x1.4213085742587p-29, 0x1.8f74900ed6bfdp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kFpa, "u2+fold+cse+sr+dce/sec=balance/opp1",
+     0x1.7601c0c2f66d7p-29, 0x1.d9e77a4d1019p-30, 0x1.176bafaa3e091p-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kFpa, "u4+fold+cse+sr+dce/sec=ladder/opp0",
+     0x1.6a1209969cdc5p-28, 0x1.a8bcde8535eacp-30, 0x1.bbf4e58074785p-31,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kNsga2, "u2+dce/sec=balance/opp3",
+     0x1.70460de85ee9cp-30, 0x1.9232a512305a5p-29, 0x1.eb5cf185433acp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kNsga2, "u1+dce/sec=balance/opp2",
+     0x1.bce5a40b0db6p-30, 0x1.4213085742587p-29, 0x1.8f74900ed6bfdp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kNsga2, "u1+fold+cse+sr+dce/sec=balance/opp1",
+     0x1.7601c0c2f66d7p-29, 0x1.d9e77a4d1019p-30, 0x1.176bafaa3e091p-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kNsga2, "u4+fold+cse+sr+dce/sec=ladder/opp0",
+     0x1.6a1209969cdc5p-28, 0x1.a8bcde8535eacp-30, 0x1.bbf4e58074785p-31,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kWeightedSum, "u4+inl+fold+cse+sr+dce/sec=balance/opp3",
+     0x1.70460de85ee9cp-30, 0x1.9232a512305a5p-29, 0x1.eb5cf185433acp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 247},
+    {"apalis-tk1", kWeightedSum, "u2+dce/sec=balance/opp2",
+     0x1.bce5a40b0db6p-30, 0x1.4213085742587p-29, 0x1.8f74900ed6bfdp-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 22},
+    {"apalis-tk1", kWeightedSum, "u8+inl+cse+dce/sec=balance/opp1",
+     0x1.7601c0c2f66d7p-29, 0x1.d9e77a4d1019p-30, 0x1.176bafaa3e091p-30,
+     0x0p+0, 0x0p+0, 0x0p+0, 463},
+};
+
+compiler::MultiCriteriaCompiler::Options golden_options(
+    compiler::MultiCriteriaCompiler::Engine engine) {
+    compiler::MultiCriteriaCompiler::Options options;
+    options.engine = engine;
+    options.population = 10;
+    options.iterations = 8;
+    options.seed = 7;
+    return options;
+}
+
+TEST(MultiCriteria, MemoisedSearchReturnsTheUnmemoisedFronts) {
+    const auto program = xtea_kernel();
+    for (const char* board : {"nucleo-f091", "gr712rc", "apalis-tk1"}) {
+        const auto platform = platform::by_name(board);
+        const compiler::MultiCriteriaCompiler mcc(program, platform.cores[0]);
+        for (const auto engine : {kFpa, kNsga2, kWeightedSum}) {
+            SCOPED_TRACE(std::string(board) + " engine " +
+                         std::to_string(static_cast<int>(engine)));
+            std::vector<const GoldenVersion*> golden;
+            for (const auto& row : kGoldenFronts)
+                if (std::string(row.board) == board && row.engine == engine)
+                    golden.push_back(&row);
+            const auto front = mcc.optimise("task", golden_options(engine));
+            ASSERT_EQ(front.size(), golden.size());
+            for (std::size_t v = 0; v < front.size(); ++v) {
+                const auto& version = front[v];
+                const auto& want = *golden[v];
+                EXPECT_EQ(version.config.label(), want.label);
+                EXPECT_EQ(version.time_s, want.time_s);
+                EXPECT_EQ(version.energy_j, want.energy_j);
+                EXPECT_EQ(version.energy_dynamic_j, want.energy_dynamic_j);
+                EXPECT_EQ(version.wcet_s, want.wcet_s);
+                EXPECT_EQ(version.wcec_j, want.wcec_j);
+                EXPECT_EQ(version.leakage, want.leakage);
+                EXPECT_EQ(version.static_instrs, want.static_instrs);
+            }
+        }
+    }
+}
+
+TEST(MultiCriteria, SearchTransformsEachConfigurationOnce) {
+    const auto program = xtea_kernel();
+    for (const char* board : {"nucleo-f091", "gr712rc", "apalis-tk1"}) {
+        const auto platform = platform::by_name(board);
+        const auto& core = platform.cores[0];
+        for (const auto engine : {kFpa, kNsga2, kWeightedSum}) {
+            SCOPED_TRACE(std::string(board) + " engine " +
+                         std::to_string(static_cast<int>(engine)));
+            const compiler::MultiCriteriaCompiler mcc(program, core);
+            compiler::MultiCriteriaCompiler::Options options;
+            options.engine = engine;
+
+            // Replay the search unmemoised on a second compiler, recording
+            // the configurations it evaluates and the front it returns.
+            const compiler::MultiCriteriaCompiler replay(program, core);
+            std::set<compiler::PassConfig> configs;
+            std::set<compiler::PassConfig> opp_free;
+            const compiler::EvalFn eval = [&](const compiler::Genome& g) {
+                auto config = replay.decode(g, options.explore_security);
+                const auto version = replay.compile("task", config);
+                configs.insert(config);
+                config.opp_index = 0;
+                opp_free.insert(config);
+                return compiler::Objectives{version.time_s, version.energy_j,
+                                            version.leakage};
+            };
+            support::Rng rng(options.seed);
+            compiler::MooRun run;
+            if (engine == kFpa) {
+                compiler::FpaParams params;
+                params.population = options.population;
+                params.iterations = options.iterations;
+                run = compiler::fpa_optimise(eval, compiler::kGenomeDims,
+                                             params, rng);
+            } else if (engine == kNsga2) {
+                compiler::Nsga2Params params;
+                params.population = options.population;
+                params.generations = options.iterations;
+                run = compiler::nsga2_optimise(eval, compiler::kGenomeDims,
+                                               params, rng);
+            } else {
+                compiler::WeightedSumParams params;
+                params.restarts = options.population / 2;
+                params.iterations = options.iterations * 4;
+                run = compiler::weighted_sum_optimise(
+                    eval, compiler::kGenomeDims, params, rng);
+            }
+            std::set<compiler::PassConfig> front_configs = {
+                mcc.traditional_config()};
+            for (const auto& solution : run.front)
+                front_configs.insert(
+                    mcc.decode(solution.genome, options.explore_security));
+            // A predictable core transforms once per OPP-free
+            // configuration; a complex core measures each OPP by
+            // simulation, so there the memo is the only saving.
+            const std::size_t searched =
+                core.model.predictable ? opp_free.size() : configs.size();
+
+            const auto front = mcc.optimise("task", options);
+            ASSERT_FALSE(front.empty());
+            EXPECT_LE(mcc.transforms(), searched + front_configs.size());
+            EXPECT_LT(2 * mcc.transforms(),
+                      static_cast<std::size_t>(run.evaluations));
+        }
+    }
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   * the generator is a pure function of (seed, config) and everything it
 //     emits is valid by construction;
 //   * >= 200 generated scenarios cross every differential-oracle tier
-//     byte-identically (a small subset also crosses the net/loopback tier);
+//     byte-identically (a small subset also crosses the net/loopback tier),
+//     and on predictable boards each chosen version runs as its source;
 //   * every semantic mutation preserves entry fingerprints and, through one
 //     shared engine's fingerprint-keyed cache, the exact report bytes;
 //   * every invalidity injection is rejected by ir::validate;
@@ -108,6 +109,31 @@ TEST(FuzzOracle, TwoHundredScenariosAllTiersByteIdentical) {
             FAIL() << fuzz::format_record(record) << "\n  repro: "
                    << fuzz::repro_command(seed, /*loopback=*/false);
         }
+    }
+}
+
+// The generator seeds (predictable boards only) on which the compiler's
+// passes were first seen to miscompile: LICM hoisted a constant out of an
+// If inside a loop (seed 0x3cd17d5aaaf25aa9, fz_f3), and unrolling left a
+// different index in the register after the loop (seed
+// 0xf29cc6b4ae068f94, fz_f2).  They run with the toolchain's default
+// search budgets, under which the engine chose the miscompiled versions.
+TEST(FuzzOracle, PinnedMiscompileSeedsRunAsTheirSource) {
+    fuzz::GeneratorConfig predictable_boards;
+    predictable_boards.allow_complex_platforms = false;
+    const fuzz::ProgramGenerator generator(predictable_boards);
+    fuzz::OracleConfig config;
+    config.options = core::WorkflowOptions{};
+    const fuzz::DifferentialOracle oracle(config);
+    for (const std::uint64_t seed :
+         {0x3cd17d5aaaf25aa9ull, 0xf29cc6b4ae068f94ull}) {
+        const auto result = oracle.check(generator.scenario(seed));
+        EXPECT_NE(std::find(result.tiers.begin(), result.tiers.end(),
+                            "exec/source"),
+                  result.tiers.end());
+        EXPECT_TRUE(result.ok())
+            << "seed 0x" << std::hex << seed << ": "
+            << result.divergence->to_string();
     }
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "energy/analyser.hpp"
+#include "ir/lowering.hpp"
 #include "security/taint.hpp"
 #include "security/transforms.hpp"
 #include "sim/machine.hpp"
@@ -61,20 +62,31 @@ PassConfig MultiCriteriaCompiler::traditional_config() const {
 
 TaskVersion MultiCriteriaCompiler::transform(const std::string& function,
                                              const PassConfig& config) const {
-    // Clone and transform.  Passes run in a fixed order: inline first (so
-    // later passes see the whole body), scalar cleanups, unrolling, then the
-    // security countermeasure, and DCE last to sweep dead values.
-    auto transformed = std::make_shared<ir::Program>(*source_);
-    ir::Function* fn = transformed->find(function);
-    if (fn == nullptr)
+    // Clone the entry's reachable sub-program and transform it.  Inlining,
+    // the security transforms and the analysers only follow calls out of
+    // the entry, so the rest of the application is never copied and every
+    // version carries exactly the code its task can execute.  Passes run in
+    // a fixed order: inline first (so later passes see the whole body),
+    // scalar cleanups, unrolling, then the security countermeasure, and DCE
+    // last to sweep dead values.
+    std::vector<const ir::Function*> reachable;
+    // An undefined callee is left to the analysers' error surface, exactly
+    // as with a whole-program clone; only the entry must exist here.
+    (void)ir::reachable_functions(*source_, function, reachable);
+    if (reachable.empty())
         throw std::invalid_argument("compile: undefined function '" +
                                     function + "'");
+    auto transformed = std::make_shared<ir::Program>();
+    transformed->memory_words = source_->memory_words;
+    for (const ir::Function* callee : reachable)
+        transformed->functions.emplace(callee->name, *callee);
+    ir::Function* fn = transformed->find(function);
     transforms_.fetch_add(1, std::memory_order_relaxed);
 
     if (config.inline_calls_pass) inline_calls(*transformed, *fn);
-    // Scalar cleanups run whole-program (callees too), like any real
-    // compiler; the analyser-driven knobs (inlining above, unrolling below,
-    // security, DVFS) apply to the task entry.
+    // Scalar cleanups run over every reachable function (callees too), like
+    // any real compiler; the analyser-driven knobs (inlining above,
+    // unrolling below, security, DVFS) apply to the task entry.
     for (auto& [name, function] : transformed->functions) {
         if (config.fold) constant_fold(function);
         if (config.strength) strength_reduce(function, core_->model);

@@ -63,7 +63,9 @@ struct TaskVersion {
     double energy_dynamic_j = 0.0;
     double leakage = 0.0;     ///< static leakage proxy (0 = constant-flow)
     int static_instrs = 0;    ///< code size proxy
-    std::shared_ptr<const ir::Program> program;  ///< transformed program
+    /// The transformed entry and its transitive callees, with the source's
+    /// memory size: the code this task can execute, and nothing else.
+    std::shared_ptr<const ir::Program> program;
 };
 
 /// The compiler front-end for one (program, core) pair.
@@ -128,8 +130,9 @@ public:
     }
 
 private:
-    /// Clone the source and apply `config`'s passes: a version with the
-    /// program and its OPP-independent properties (code size, leakage).
+    /// Clone the entry's reachable sub-program and apply `config`'s passes:
+    /// a version with the program and its OPP-independent properties (code
+    /// size, leakage).
     [[nodiscard]] TaskVersion transform(const std::string& function,
                                         const PassConfig& config) const;
     /// Analyse the transformed `version` at `opp_index`: its time and

@@ -3,8 +3,9 @@
 // The distributed follow-on to in-process sharding (DESIGN.md §8) moves
 // memoised evaluation results and merged telemetry between hosts; this
 // codec defines the byte format those messages travel in.  Six message
-// types are covered — `EvaluationKey`, `EvaluationResult` (including full
-// IR programs inside compiled task versions), `StageTelemetry`,
+// types are covered — `EvaluationKey`, `EvaluationResult` (including the
+// IR program of each compiled task version: its entry's reachable
+// sub-program, not the whole application), `StageTelemetry`,
 // `BatchStats`, `ScenarioRequest` (program + platform + CSL + options,
 // everything a remote shard needs to run the scenario) and
 // `ToolchainReport` (the full reply, certificate included) — with strict

@@ -8,10 +8,13 @@
 #include "compiler/moo.hpp"
 #include "compiler/multi_criteria.hpp"
 #include "compiler/passes.hpp"
+#include "csl/csl.hpp"
 #include "fuzz/generator.hpp"
 #include "ir/builder.hpp"
+#include "ir/lowering.hpp"
 #include "ir/printer.hpp"
 #include "sim/machine.hpp"
+#include "usecases/apps.hpp"
 #include "usecases/kernels.hpp"
 #include "wcet/analyser.hpp"
 
@@ -950,6 +953,64 @@ TEST(MultiCriteria, SearchTransformsEachConfigurationOnce) {
                       static_cast<std::size_t>(run.evaluations));
         }
     }
+}
+
+/// Every version of `entry`'s front holds exactly the entry's reachable
+/// sub-program and the source's memory size.  Returns the number of
+/// reachable functions.
+std::size_t expect_fronts_hold_reachable_code(const ir::Program& source,
+                                              const platform::Core& core,
+                                              const std::string& entry) {
+    std::vector<const ir::Function*> reachable;
+    EXPECT_TRUE(ir::reachable_functions(source, entry, reachable));
+    std::set<std::string> want;
+    for (const ir::Function* fn : reachable) want.insert(fn->name);
+
+    compiler::MultiCriteriaCompiler::Options options;
+    options.population = 4;
+    options.iterations = 4;
+    const compiler::MultiCriteriaCompiler mcc(source, core);
+    const auto front = mcc.optimise(entry, options);
+    EXPECT_FALSE(front.empty());
+    for (const auto& version : front) {
+        SCOPED_TRACE(entry + " " + version.config.label());
+        std::set<std::string> names;
+        for (const auto& [name, fn] : version.program->functions)
+            names.insert(name);
+        EXPECT_EQ(names, want);
+        EXPECT_EQ(version.program->memory_words, source.memory_words);
+    }
+    return want.size();
+}
+
+TEST(MultiCriteria, VersionsCarryOnlyTheEntrysReachableSubProgram) {
+    std::size_t pruned = 0;  // fronts whose entry cannot reach every function
+    for (const auto& app : {usecases::make_camera_pill_app(),
+                            usecases::make_space_app(),
+                            usecases::make_parking_app(true)}) {
+        SCOPED_TRACE(app.name);
+        for (const auto& task : csl::parse(app.csl_source).tasks)
+            for (const auto& core : app.platform.cores)
+                if (core.model.predictable)
+                    pruned += expect_fronts_hold_reachable_code(
+                                  app.program, core, task.entry) <
+                              app.program.functions.size();
+    }
+    // Generated programs call between their functions (seeds 0xc8 and
+    // 0x23e inline), so some fronts keep callees beside the entry.
+    std::size_t with_callees = 0;
+    for (const std::uint64_t seed : {0xc8ull, 0x23eull, 1ull, 2ull, 3ull}) {
+        const auto scenario = predictable_scenario(seed);
+        SCOPED_TRACE(scenario.name);
+        for (const auto& [name, fn] : scenario.program.functions) {
+            const auto reachable = expect_fronts_hold_reachable_code(
+                scenario.program, scenario.platform.cores[0], name);
+            pruned += reachable < scenario.program.functions.size();
+            with_callees += reachable > 1;
+        }
+    }
+    EXPECT_GT(pruned, 0u);
+    EXPECT_GT(with_callees, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // ScenarioEngine layer: thread pool semantics, evaluation-cache
 // memoisation, engine-vs-legacy equivalence on the paper's use cases,
-// determinism across worker counts, and batch execution statistics.
+// determinism across worker counts and across the programs that share a
+// cached front, and batch execution statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <vector>
 
+#include "core/result_store.hpp"
 #include "core/scenario_engine.hpp"
 #include "core/stages.hpp"
+#include "core/wire.hpp"
+#include "ir/builder.hpp"
 #include "support/thread_pool.hpp"
 #include "usecases/apps.hpp"
 
@@ -298,6 +303,67 @@ TEST(ScenarioEngine, DeterministicAcrossWorkerCounts) {
         SCOPED_TRACE(requests[i].label + " #" + std::to_string(i));
         expect_reports_identical(sequential[i], parallel[i]);
     }
+}
+
+/// A report's wire bytes without its wall-clock stage laps: everything a
+/// fabric client receives that must be a pure function of the request.
+core::wire::Buffer deterministic_bytes(core::ToolchainReport report) {
+    report.stage_laps.clear();
+    return core::wire::encode(report);
+}
+
+/// The camera pill plus one function no task reaches.  Its task entries
+/// have the same structural fingerprints as the pill's, so the two
+/// programs share every cached front.
+usecases::UseCaseApp pill_with_unrelated_function() {
+    auto app = usecases::make_camera_pill_app();
+    ir::FunctionBuilder unrelated("unrelated", 1);
+    unrelated.ret(unrelated.add(unrelated.param(0), unrelated.imm(1)));
+    app.program.add(unrelated.build());
+    return app;
+}
+
+TEST(ScenarioEngine, ReportBytesDoNotDependOnWhichProgramFilledTheCache) {
+    const auto pill = usecases::make_camera_pill_app();
+    const auto extended = pill_with_unrelated_function();
+    const auto spec = csl::parse(pill.csl_source);
+    const auto options = fast_options();
+
+    core::ScenarioEngine fresh;
+    const auto alone =
+        deterministic_bytes(fresh.run(request_for(extended, spec, options)));
+
+    // Same engine: the pill computes the fronts the extended program reuses.
+    core::ScenarioEngine shared;
+    (void)shared.run(request_for(pill, spec, options));
+    const auto misses = shared.cache_stats().misses;
+    const auto reused =
+        deterministic_bytes(shared.run(request_for(extended, spec, options)));
+    EXPECT_EQ(shared.cache_stats().misses, misses);  // every front reused
+    EXPECT_EQ(reused.size(), alone.size());
+    EXPECT_TRUE(reused == alone);
+
+    // Warm restart: the pill's fronts come back from its result store.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "teamplay_engine_front_provenance";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto with_store = [&dir] {
+        core::ScenarioEngine::Options engine_options;
+        engine_options.result_store = std::make_shared<core::ResultStore>(dir);
+        return engine_options;
+    };
+    {
+        core::ScenarioEngine first(with_store());
+        (void)first.run(request_for(pill, spec, options));
+    }
+    core::ScenarioEngine restarted(with_store());
+    const auto warm = deterministic_bytes(
+        restarted.run(request_for(extended, spec, options)));
+    EXPECT_EQ(restarted.cache_stats().store_misses, 0u);  // none recomputed
+    EXPECT_EQ(warm.size(), alone.size());
+    EXPECT_TRUE(warm == alone);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioEngine, RunAllReportsBatchStatsAndOrder) {

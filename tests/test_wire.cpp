@@ -638,4 +638,111 @@ TEST(Wire, ReportCorruptionMatrixIsRejected) {
                  core::wire::WireFormatError);
 }
 
+// -- pinned frame bytes -------------------------------------------------------
+
+/// One fixed input per message kind, encoded.  The frame layout is pinned
+/// against these: a codec change that moves any byte shows up here even
+/// when it round-trips with itself.
+struct PinnedFrame {
+    const char* kind;
+    Buffer bytes;
+};
+
+core::EvaluationResult pinned_result() {
+    const auto& pill = pill_app();
+    const compiler::MultiCriteriaCompiler mcc(pill.program,
+                                              pill.platform.cores[0]);
+    compiler::PassConfig config;
+    config.unroll_factor = 2;
+    config.security = compiler::SecurityLevel::kBalance;
+    core::EvaluationResult result;
+    result.front =
+        std::make_shared<const std::vector<compiler::TaskVersion>>(
+            std::vector<compiler::TaskVersion>{
+                mcc.compile("pill_compress", config)});
+    result.leakage = 0.25;
+    return result;
+}
+
+core::StageTelemetry pinned_telemetry() {
+    core::StageTelemetry telemetry;
+    telemetry.record("parse", 0.001);
+    telemetry.record("parse", 0.003);
+    telemetry.record("analyse", 0.25);
+    telemetry.record("certify", 0.0005);
+    return telemetry;
+}
+
+core::BatchStats pinned_batch_stats() {
+    core::BatchStats stats;
+    stats.scenarios = 12;
+    stats.workers = 5;
+    stats.wall_s = 1.25;
+    stats.scenarios_per_s = 9.6;
+    stats.cache.hits = 100;
+    stats.cache.misses = 40;
+    stats.cache.store_hits = 21;
+    stats.cache.remote_misses = 3;
+    stats.cache.entries = 33;
+    stats.cache.resident_cost = 112.5;
+    stats.stage_telemetry.record("schedule", 0.125);
+    stats.admission.classes[0] = {.submitted = 9,
+                                  .admitted = 8,
+                                  .rejected = 1,
+                                  .shed = 2,
+                                  .completed = 5,
+                                  .cancelled = 1,
+                                  .failed = 0,
+                                  .queue_peak = 4};
+    stats.admission.classes[2].shed = 3;
+    stats.admission.remote_failures = {0, 7, 1};
+    return stats;
+}
+
+core::ToolchainReport pinned_report() {
+    core::ScenarioEngine engine;
+    auto report = engine.submit(sample_request()).get();
+    // Lap times are wall-clock; everything else in the report is
+    // deterministic for a fixed request.
+    for (std::size_t i = 0; i < report.stage_laps.size(); ++i)
+        report.stage_laps[i].seconds = 0.001 * static_cast<double>(i + 1);
+    return report;
+}
+
+const std::vector<PinnedFrame>& pinned_frames() {
+    static const std::vector<PinnedFrame> frames = {
+        {"key", core::wire::encode(sample_key())},
+        {"result", core::wire::encode(pinned_result())},
+        {"telemetry", core::wire::encode(pinned_telemetry())},
+        {"batch", core::wire::encode(pinned_batch_stats())},
+        {"request", core::wire::encode(sample_request())},
+        {"report", core::wire::encode(pinned_report())},
+    };
+    return frames;
+}
+
+TEST(Wire, FrameBytesArePinned) {
+    struct Pin {
+        std::size_t size;
+        std::uint64_t fnv1a;
+    };
+    const Pin pins[] = {
+        {61, 0x72f617e15490a845ULL},
+        {2608, 0x0b851edd901c0c06ULL},
+        {122, 0xdfd2d463b6c9dcf9ULL},
+        {395, 0x4ccebf39c7c52349ULL},
+        {9419, 0x590cd3a2fbd92e61ULL},
+        {20607, 0x5a054e1257a5e27aULL},
+    };
+    const auto& frames = pinned_frames();
+    ASSERT_EQ(frames.size(), std::size(pins));
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const Buffer& bytes = frames[i].bytes;
+        EXPECT_EQ(bytes.size(), pins[i].size) << frames[i].kind;
+        EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), pins[i].fnv1a)
+            << frames[i].kind << std::hex << " fnv1a 0x"
+            << fnv1a(bytes.data(), bytes.size());
+    }
+}
+
 }  // namespace

@@ -52,6 +52,13 @@ public:
         const {
         return stages_;
     }
+    /// Direct access for the wire decoder, which rebuilds a telemetry
+    /// verbatim: folding decoded stages in through `merge` would turn a
+    /// negative or NaN max into 0 and break the codec's byte-exact round
+    /// trip.
+    [[nodiscard]] std::map<std::string, PerStage, std::less<>>& stages() {
+        return stages_;
+    }
 
     /// Aligned per-stage table (count, total, mean, max), one line per
     /// stage in name order; "" when no laps were recorded.

@@ -3,7 +3,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <concepts>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace teamplay::core::wire {
@@ -21,8 +23,8 @@ enum class MessageKind : std::uint8_t {
     kReport = 6,
 };
 
-/// Node trees are shallow in practice (builder nesting); the cap only
-/// exists so a corrupted buffer cannot drive unbounded recursion.
+/// Node and proof trees are shallow in practice (builder nesting); the cap
+/// only exists so a corrupted buffer cannot drive unbounded recursion.
 constexpr int kMaxNodeDepth = 256;
 
 constexpr std::size_t kHeaderBytes = 4 + 2 + 1;   // magic + version + kind
@@ -37,114 +39,226 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     return value;
 }
 
-// -- writer -------------------------------------------------------------------
+// -- writer and reader --------------------------------------------------------
+//
+// Each wire struct's layout is written exactly once, as a `visit(io, value)`
+// overload below.  `Writer` and `Reader` speak the same vocabulary, so one
+// visitor both encodes (`value` const) and decodes (`value` filled in), and
+// every strictness check lives in `Reader`.
+
+/// Visits a value with its struct's visitor (the default element action
+/// of `seq`, `pointer` and `optional`).
+struct Visit {
+    template <class IO, class T>
+    void operator()(IO& io, T& value) const {
+        visit(io, value);
+    }
+};
 
 struct Writer {
     Buffer out;
 
-    void u8(std::uint8_t value) { out.push_back(value); }
-    void u16(std::uint16_t value) {
-        out.push_back(static_cast<std::uint8_t>(value));
-        out.push_back(static_cast<std::uint8_t>(value >> 8));
+    /// Little-endian, whatever the host.
+    template <std::unsigned_integral Word>
+    void put(Word value) {
+        for (std::size_t byte = 0; byte < sizeof(Word); ++byte)
+            out.push_back(static_cast<std::uint8_t>(value >> (8 * byte)));
     }
-    void u32(std::uint32_t value) {
-        for (int shift = 0; shift < 32; shift += 8)
-            out.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-    void u64(std::uint64_t value) {
-        for (int shift = 0; shift < 64; shift += 8)
-            out.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-    void i64(std::int64_t value) {
-        u64(static_cast<std::uint64_t>(value));
-    }
-    void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-    void boolean(bool value) { u8(value ? 1 : 0); }
-    void reg(ir::Reg value) { u32(static_cast<std::uint32_t>(value)); }
+
+    void u32(std::uint32_t value) { put(value); }
+    void u64(std::uint64_t value) { put(value); }
+    void i64(std::int64_t value) { put(static_cast<std::uint64_t>(value)); }
+    void f64(double value) { put(std::bit_cast<std::uint64_t>(value)); }
+    void boolean(bool value) { put(std::uint8_t{value}); }
+    void reg(ir::Reg value) { put(static_cast<std::uint32_t>(value)); }
     void str(std::string_view text) {
-        u32(static_cast<std::uint32_t>(text.size()));
+        put(static_cast<std::uint32_t>(text.size()));
         out.insert(out.end(), text.begin(), text.end());
     }
+    template <class E>
+    void enumeration(E value, E /*max*/, const char* /*name*/) {
+        put(static_cast<std::uint8_t>(value));
+    }
+    template <class T, class Fn = Visit>
+    void seq(const std::vector<T>& items, std::size_t /*min_element_bytes*/,
+             Fn fn = {}) {
+        put(static_cast<std::uint32_t>(items.size()));
+        for (const T& item : items) fn(*this, item);
+    }
+    /// Keys go out in map order, which is the canonical order.
+    template <class Map, class Fn>
+    void canonical_map(const Map& map, std::size_t /*min_element_bytes*/,
+                       const char* /*name*/, Fn fn) {
+        put(static_cast<std::uint32_t>(map.size()));
+        for (const auto& [key, value] : map) {
+            if constexpr (std::is_same_v<typename Map::key_type, std::string>)
+                str(key);
+            else
+                u64(key);
+            fn(*this, key, value);
+        }
+    }
+    template <class T, class Fn = Visit>
+    void optional(const std::optional<T>& value, Fn fn = {}) {
+        boolean(value.has_value());
+        if (value) fn(*this, *value);
+    }
+    template <class Ptr, class Fn = Visit>
+    void pointer(const Ptr& ptr, Fn fn = {}) {
+        boolean(ptr != nullptr);
+        if (ptr) owned(ptr, fn);
+    }
+    /// A pointer the layout guarantees non-null (no presence flag).
+    template <class Ptr, class Fn = Visit>
+    void owned(const Ptr& ptr, Fn fn = {}) {
+        fn(*this, *ptr);
+    }
+    struct Unguarded {};
+    Unguarded nest(const char* /*tree*/) { return {}; }
 };
-
-// -- reader -------------------------------------------------------------------
 
 struct Reader {
     std::span<const std::uint8_t> data;
     std::size_t pos = 0;
+    int depth = 0;
 
     void need(std::size_t bytes) const {
         if (bytes > data.size() - pos)
             throw WireFormatError("wire buffer truncated");
     }
-    std::uint8_t u8() {
-        need(1);
-        return data[pos++];
-    }
-    std::uint16_t u16() {
-        need(2);
-        std::uint16_t value = 0;
-        for (int shift = 0; shift < 16; shift += 8)
-            value = static_cast<std::uint16_t>(
-                value | static_cast<std::uint16_t>(data[pos++]) << shift);
+    template <std::unsigned_integral Word>
+    Word get() {
+        need(sizeof(Word));
+        Word value = 0;
+        for (std::size_t byte = 0; byte < sizeof(Word); ++byte)
+            value = static_cast<Word>(
+                value | static_cast<Word>(data[pos++]) << (8 * byte));
         return value;
     }
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t value = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            value |= static_cast<std::uint32_t>(data[pos++]) << shift;
-        return value;
-    }
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t value = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            value |= static_cast<std::uint64_t>(data[pos++]) << shift;
-        return value;
-    }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    bool boolean() {
-        const std::uint8_t byte = u8();
-        if (byte > 1) throw WireFormatError("wire bool byte not 0/1");
-        return byte == 1;
-    }
-    ir::Reg reg() { return static_cast<ir::Reg>(u32()); }
-    std::string str() {
-        const std::uint32_t length = u32();
-        need(length);
-        std::string text(reinterpret_cast<const char*>(data.data() + pos),
-                         length);
-        pos += length;
-        return text;
+    /// A wire integer that does not fit its field would decode to a
+    /// different value, which could never re-encode to the same bytes.
+    template <std::integral T, std::integral Raw>
+    static T narrow(Raw raw) {
+        if (!std::in_range<T>(raw))
+            throw WireFormatError("wire integer out of range");
+        return static_cast<T>(raw);
     }
     /// Sequence-count guard: each element occupies >= `min_element_bytes`,
     /// so a forged count larger than the remaining buffer is rejected
     /// before any allocation.
     std::uint32_t count(std::size_t min_element_bytes) {
-        const std::uint32_t n = u32();
+        const auto n = get<std::uint32_t>();
         if (min_element_bytes > 0 &&
             n > (data.size() - pos) / min_element_bytes)
             throw WireFormatError("wire sequence count exceeds buffer");
         return n;
     }
+
+    void u32(std::uint32_t& value) { value = get<std::uint32_t>(); }
+    template <std::unsigned_integral T>
+    void u64(T& value) {
+        value = narrow<T>(get<std::uint64_t>());
+    }
+    template <std::integral T>
+    void i64(T& value) {
+        value = narrow<T>(static_cast<std::int64_t>(get<std::uint64_t>()));
+    }
+    void f64(double& value) {
+        value = std::bit_cast<double>(get<std::uint64_t>());
+    }
+    void boolean(bool& value) {
+        const auto byte = get<std::uint8_t>();
+        if (byte > 1) throw WireFormatError("wire bool byte not 0/1");
+        value = byte == 1;
+    }
+    void reg(ir::Reg& value) {
+        value = static_cast<ir::Reg>(get<std::uint32_t>());
+    }
+    void str(std::string& text) {
+        const auto length = get<std::uint32_t>();
+        need(length);
+        text.assign(reinterpret_cast<const char*>(data.data() + pos), length);
+        pos += length;
+    }
+    template <class E>
+    void enumeration(E& value, E max, const char* name) {
+        const auto byte = get<std::uint8_t>();
+        if (byte > static_cast<std::uint8_t>(max))
+            throw WireFormatError(std::string("wire ") + name + " invalid");
+        value = static_cast<E>(byte);
+    }
+    template <class T, class Fn = Visit>
+    void seq(std::vector<T>& items, std::size_t min_element_bytes,
+             Fn fn = {}) {
+        const std::uint32_t n = count(min_element_bytes);
+        items.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) fn(*this, items.emplace_back());
+    }
+    /// The encoder emits keys in strict map order; accepting duplicate or
+    /// unsorted keys would break the byte-exact encode(decode(b)) == b
+    /// guarantee.
+    template <class Map, class Fn>
+    void canonical_map(Map& map, std::size_t min_element_bytes,
+                       const char* name, Fn fn) {
+        const std::uint32_t n = count(min_element_bytes);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            typename Map::key_type key{};
+            if constexpr (std::is_same_v<typename Map::key_type, std::string>)
+                str(key);
+            else
+                u64(key);
+            if (!map.empty() && !map.key_comp()(map.rbegin()->first, key))
+                throw WireFormatError(std::string("wire ") + name +
+                                      " not in canonical order");
+            auto& entry = *map.emplace_hint(map.end(), std::move(key),
+                                            typename Map::mapped_type{});
+            fn(*this, entry.first, entry.second);
+        }
+    }
+    template <class T, class Fn = Visit>
+    void optional(std::optional<T>& value, Fn fn = {}) {
+        bool present = false;
+        boolean(present);
+        if (present) fn(*this, value.emplace());
+    }
+    template <class Ptr, class Fn = Visit>
+    void pointer(Ptr& ptr, Fn fn = {}) {
+        bool present = false;
+        boolean(present);
+        if (present) owned(ptr, fn);
+    }
+    template <class Ptr, class Fn = Visit>
+    void owned(Ptr& ptr, Fn fn = {}) {
+        auto value = std::make_unique<
+            std::remove_const_t<typename Ptr::element_type>>();
+        fn(*this, *value);
+        ptr = std::move(value);
+    }
+    /// Depth cap for recursive trees, held for the duration of one level.
+    [[nodiscard]] auto nest(const char* tree) {
+        if (depth > kMaxNodeDepth)
+            throw WireFormatError(std::string("wire ") + tree +
+                                  " nested too deeply");
+        ++depth;
+        struct Guard {
+            int& level;
+            explicit Guard(int& depth) : level(depth) {}
+            Guard(const Guard&) = delete;
+            Guard& operator=(const Guard&) = delete;
+            ~Guard() { --level; }
+        };
+        return Guard{depth};
+    }
 };
 
+template <class IO>
+constexpr bool kDecoding = std::is_same_v<IO, Reader>;
+
+/// `T` is `U` (const when encoding).
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
 // -- framing ------------------------------------------------------------------
-
-Writer begin_message(MessageKind kind) {
-    Writer writer;
-    writer.u32(kMagic);
-    writer.u16(kVersion);
-    writer.u8(static_cast<std::uint8_t>(kind));
-    return writer;
-}
-
-Buffer seal_message(Writer writer) {
-    writer.u64(fnv1a(writer.out));
-    return std::move(writer.out);
-}
 
 /// Validate framing (length, magic, checksum, version, kind) and return a
 /// reader positioned at the payload, spanning exactly the payload bytes.
@@ -153,797 +267,485 @@ Reader open_message(std::span<const std::uint8_t> buffer, MessageKind kind) {
         throw WireFormatError("wire buffer shorter than frame");
     const auto body = buffer.first(buffer.size() - kChecksumBytes);
     Reader frame{buffer};
-    if (frame.u32() != kMagic) throw WireFormatError("wire magic mismatch");
+    if (frame.get<std::uint32_t>() != kMagic)
+        throw WireFormatError("wire magic mismatch");
     // Checksum before version: corruption must never masquerade as a
     // version skew.
     Reader trailer{buffer, buffer.size() - kChecksumBytes};
-    if (trailer.u64() != fnv1a(body))
+    if (trailer.get<std::uint64_t>() != fnv1a(body))
         throw WireFormatError("wire checksum mismatch");
-    const std::uint16_t version = frame.u16();
+    const auto version = frame.get<std::uint16_t>();
     if (version != kVersion) throw WireVersionError(version, kVersion);
-    if (frame.u8() != static_cast<std::uint8_t>(kind))
+    if (frame.get<std::uint8_t>() != static_cast<std::uint8_t>(kind))
         throw WireFormatError("wire message kind mismatch");
     return Reader{body, kHeaderBytes};
 }
 
-void expect_fully_consumed(const Reader& reader) {
+template <class T>
+Buffer encode_message(MessageKind kind, const T& value) {
+    Writer writer;
+    writer.put(kMagic);
+    writer.put(kVersion);
+    writer.put(static_cast<std::uint8_t>(kind));
+    visit(writer, value);
+    writer.put(fnv1a(writer.out));
+    return std::move(writer.out);
+}
+
+template <class T>
+T decode_message(MessageKind kind, std::span<const std::uint8_t> buffer) {
+    Reader reader = open_message(buffer, kind);
+    T value;
+    visit(reader, value);
     if (reader.pos != reader.data.size())
         throw WireFormatError("wire payload has trailing bytes");
+    return value;
 }
 
 // -- IR program ---------------------------------------------------------------
 
-void put_node(Writer& writer, const ir::Node& node) {
-    writer.u8(static_cast<std::uint8_t>(node.kind));
+template <class IO, Is<ir::Instr> I>
+void visit(IO& io, I& instr) {
+    io.enumeration(instr.op, static_cast<ir::Opcode>(ir::kNumOpcodes - 1),
+                   "opcode");
+    io.reg(instr.dst);
+    io.reg(instr.a);
+    io.reg(instr.b);
+    io.reg(instr.c);
+    io.i64(instr.imm);
+    io.boolean(instr.secret);
+}
+
+template <class IO, Is<ir::Node> N>
+void visit(IO& io, N& node) {
+    [[maybe_unused]] const auto level = io.nest("node tree");
+    io.enumeration(node.kind, ir::NodeKind::kCall, "node kind");
     switch (node.kind) {
         case ir::NodeKind::kBlock:
-            writer.u32(static_cast<std::uint32_t>(node.instrs.size()));
-            for (const auto& instr : node.instrs) {
-                writer.u8(static_cast<std::uint8_t>(instr.op));
-                writer.reg(instr.dst);
-                writer.reg(instr.a);
-                writer.reg(instr.b);
-                writer.reg(instr.c);
-                writer.u64(static_cast<std::uint64_t>(instr.imm));
-                writer.boolean(instr.secret);
-            }
+            io.seq(node.instrs, 22);  // bytes per instr
             break;
         case ir::NodeKind::kSeq:
-            writer.u32(static_cast<std::uint32_t>(node.children.size()));
-            for (const auto& child : node.children) put_node(writer, *child);
+            io.seq(node.children, 1,
+                   [](auto& io, auto& child) { io.owned(child); });
             break;
-        case ir::NodeKind::kIf:
-            writer.reg(node.cond);
-            writer.boolean(node.then_branch != nullptr);
-            writer.boolean(node.else_branch != nullptr);
-            if (node.then_branch) put_node(writer, *node.then_branch);
-            if (node.else_branch) put_node(writer, *node.else_branch);
+        case ir::NodeKind::kIf: {
+            io.reg(node.cond);
+            // Both presence flags precede both branches.
+            bool has_then = node.then_branch != nullptr;
+            bool has_else = node.else_branch != nullptr;
+            io.boolean(has_then);
+            io.boolean(has_else);
+            if (has_then) io.owned(node.then_branch);
+            if (has_else) io.owned(node.else_branch);
             break;
+        }
         case ir::NodeKind::kLoop:
-            writer.i64(node.trip);
-            writer.i64(node.bound);
-            writer.reg(node.trip_reg);
-            writer.reg(node.index_reg);
-            writer.i64(node.stride);
-            writer.boolean(node.body != nullptr);
-            if (node.body) put_node(writer, *node.body);
+            io.i64(node.trip);
+            io.i64(node.bound);
+            io.reg(node.trip_reg);
+            io.reg(node.index_reg);
+            io.i64(node.stride);
+            io.pointer(node.body);
             break;
         case ir::NodeKind::kCall:
-            writer.str(node.callee);
-            writer.u32(static_cast<std::uint32_t>(node.args.size()));
-            for (const ir::Reg arg : node.args) writer.reg(arg);
-            writer.reg(node.ret);
+            io.str(node.callee);
+            io.seq(node.args, 4, [](auto& io, auto& arg) { io.reg(arg); });
+            io.reg(node.ret);
             break;
     }
 }
 
-ir::NodePtr get_node(Reader& reader, int depth) {
-    if (depth > kMaxNodeDepth)
-        throw WireFormatError("wire node tree nested too deeply");
-    const std::uint8_t kind_byte = reader.u8();
-    if (kind_byte > static_cast<std::uint8_t>(ir::NodeKind::kCall))
-        throw WireFormatError("wire node kind invalid");
-    auto node = std::make_unique<ir::Node>();
-    node->kind = static_cast<ir::NodeKind>(kind_byte);
-    switch (node->kind) {
-        case ir::NodeKind::kBlock: {
-            const std::uint32_t n = reader.count(22);  // bytes per instr
-            node->instrs.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-                ir::Instr instr;
-                const std::uint8_t op = reader.u8();
-                if (op >= ir::kNumOpcodes)
-                    throw WireFormatError("wire opcode invalid");
-                instr.op = static_cast<ir::Opcode>(op);
-                instr.dst = reader.reg();
-                instr.a = reader.reg();
-                instr.b = reader.reg();
-                instr.c = reader.reg();
-                instr.imm = reader.i64();
-                instr.secret = reader.boolean();
-                node->instrs.push_back(instr);
-            }
-            break;
-        }
-        case ir::NodeKind::kSeq: {
-            const std::uint32_t n = reader.count(1);
-            node->children.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i)
-                node->children.push_back(get_node(reader, depth + 1));
-            break;
-        }
-        case ir::NodeKind::kIf: {
-            node->cond = reader.reg();
-            const bool has_then = reader.boolean();
-            const bool has_else = reader.boolean();
-            if (has_then) node->then_branch = get_node(reader, depth + 1);
-            if (has_else) node->else_branch = get_node(reader, depth + 1);
-            break;
-        }
-        case ir::NodeKind::kLoop: {
-            node->trip = reader.i64();
-            node->bound = reader.i64();
-            node->trip_reg = reader.reg();
-            node->index_reg = reader.reg();
-            node->stride = reader.i64();
-            if (reader.boolean()) node->body = get_node(reader, depth + 1);
-            break;
-        }
-        case ir::NodeKind::kCall: {
-            node->callee = reader.str();
-            const std::uint32_t n = reader.count(4);
-            node->args.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i)
-                node->args.push_back(reader.reg());
-            node->ret = reader.reg();
-            break;
-        }
-    }
-    return node;
-}
-
-void put_program(Writer& writer, const ir::Program& program) {
-    writer.u64(program.memory_words);
-    writer.u32(static_cast<std::uint32_t>(program.functions.size()));
-    // std::map iteration: name order, canonical on both sides.
-    for (const auto& [name, fn] : program.functions) {
-        writer.str(name);
-        writer.i64(fn.param_count);
-        writer.i64(fn.reg_count);
-        writer.reg(fn.ret_reg);
-        writer.boolean(fn.body != nullptr);
-        if (fn.body) put_node(writer, *fn.body);
-    }
-}
-
-ir::Program get_program(Reader& reader) {
-    ir::Program program;
-    program.memory_words = reader.u64();
-    const std::uint32_t n = reader.count(4);
-    std::string previous_name;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        ir::Function fn;
-        fn.name = reader.str();
-        // The encoder emits functions in strict map order; accepting
-        // duplicates or unsorted names would break the byte-exact
-        // encode(decode(b)) == b guarantee.
-        if (i > 0 && fn.name <= previous_name)
-            throw WireFormatError(
-                "wire program functions not in canonical order");
-        previous_name = fn.name;
-        fn.param_count = static_cast<int>(reader.i64());
-        fn.reg_count = static_cast<int>(reader.i64());
-        fn.ret_reg = reader.reg();
-        if (reader.boolean()) fn.body = get_node(reader, 0);
-        program.functions[fn.name] = std::move(fn);
-    }
-    return program;
+template <class IO, Is<ir::Program> P>
+void visit(IO& io, P& program) {
+    io.u64(program.memory_words);
+    io.canonical_map(program.functions, 4, "program functions",
+                     [](auto& io, const std::string& name, auto& fn) {
+                         if constexpr (kDecoding<IO>) fn.name = name;
+                         io.i64(fn.param_count);
+                         io.i64(fn.reg_count);
+                         io.reg(fn.ret_reg);
+                         io.pointer(fn.body);
+                     });
 }
 
 // -- compiler / profiler payloads --------------------------------------------
 
-void put_task_version(Writer& writer, const compiler::TaskVersion& version) {
-    const auto& config = version.config;
-    writer.boolean(config.fold);
-    writer.boolean(config.cse_pass);
-    writer.boolean(config.strength);
-    writer.boolean(config.dce_pass);
-    writer.boolean(config.inline_calls_pass);
-    writer.boolean(config.licm);
-    writer.i64(config.unroll_factor);
-    writer.u8(static_cast<std::uint8_t>(config.security));
-    writer.u64(config.opp_index);
-    writer.boolean(version.analysable);
-    writer.f64(version.wcet_s);
-    writer.f64(version.wcec_j);
-    writer.f64(version.time_s);
-    writer.f64(version.energy_j);
-    writer.f64(version.energy_dynamic_j);
-    writer.f64(version.leakage);
-    writer.i64(version.static_instrs);
-    writer.boolean(version.program != nullptr);
-    if (version.program) put_program(writer, *version.program);
-}
-
-compiler::TaskVersion get_task_version(Reader& reader) {
-    compiler::TaskVersion version;
+template <class IO, Is<compiler::TaskVersion> V>
+void visit(IO& io, V& version) {
     auto& config = version.config;
-    config.fold = reader.boolean();
-    config.cse_pass = reader.boolean();
-    config.strength = reader.boolean();
-    config.dce_pass = reader.boolean();
-    config.inline_calls_pass = reader.boolean();
-    config.licm = reader.boolean();
-    config.unroll_factor = static_cast<int>(reader.i64());
-    const std::uint8_t security = reader.u8();
-    if (security > static_cast<std::uint8_t>(compiler::SecurityLevel::kLadder))
-        throw WireFormatError("wire security level invalid");
-    config.security = static_cast<compiler::SecurityLevel>(security);
-    config.opp_index = reader.u64();
-    version.analysable = reader.boolean();
-    version.wcet_s = reader.f64();
-    version.wcec_j = reader.f64();
-    version.time_s = reader.f64();
-    version.energy_j = reader.f64();
-    version.energy_dynamic_j = reader.f64();
-    version.leakage = reader.f64();
-    version.static_instrs = static_cast<int>(reader.i64());
-    if (reader.boolean())
-        version.program =
-            std::make_shared<const ir::Program>(get_program(reader));
-    return version;
+    io.boolean(config.fold);
+    io.boolean(config.cse_pass);
+    io.boolean(config.strength);
+    io.boolean(config.dce_pass);
+    io.boolean(config.inline_calls_pass);
+    io.boolean(config.licm);
+    io.i64(config.unroll_factor);
+    io.enumeration(config.security, compiler::SecurityLevel::kLadder,
+                   "security level");
+    io.u64(config.opp_index);
+    io.boolean(version.analysable);
+    io.f64(version.wcet_s);
+    io.f64(version.wcec_j);
+    io.f64(version.time_s);
+    io.f64(version.energy_j);
+    io.f64(version.energy_dynamic_j);
+    io.f64(version.leakage);
+    io.i64(version.static_instrs);
+    io.pointer(version.program);
 }
 
-void put_estimate(Writer& writer, const profiler::Estimate& estimate) {
-    writer.f64(estimate.mean);
-    writer.f64(estimate.stddev);
-    writer.f64(estimate.p95);
-    writer.f64(estimate.max);
+template <class IO, Is<profiler::Estimate> E>
+void visit(IO& io, E& estimate) {
+    io.f64(estimate.mean);
+    io.f64(estimate.stddev);
+    io.f64(estimate.p95);
+    io.f64(estimate.max);
 }
 
-profiler::Estimate get_estimate(Reader& reader) {
-    profiler::Estimate estimate;
-    estimate.mean = reader.f64();
-    estimate.stddev = reader.f64();
-    estimate.p95 = reader.f64();
-    estimate.max = reader.f64();
-    return estimate;
+template <class IO, Is<profiler::TaskProfile> P>
+void visit(IO& io, P& profile) {
+    io.str(profile.function);
+    io.i64(profile.runs);
+    visit(io, profile.time_s);
+    visit(io, profile.energy_j);
+    visit(io, profile.cycles);
 }
 
-void put_profile(Writer& writer, const profiler::TaskProfile& profile) {
-    writer.str(profile.function);
-    writer.i64(profile.runs);
-    put_estimate(writer, profile.time_s);
-    put_estimate(writer, profile.energy_j);
-    put_estimate(writer, profile.cycles);
+template <class IO, Is<EvaluationKey> K>
+void visit(IO& io, K& key) {
+    io.u64(key.structural_fp);
+    io.str(key.entry);
+    io.str(key.core_class);
+    io.u64(key.opp_index);
+    io.enumeration(key.kind, AnalysisKind::kTaint, "analysis kind");
+    io.u64(key.params);
 }
 
-profiler::TaskProfile get_profile(Reader& reader) {
-    profiler::TaskProfile profile;
-    profile.function = reader.str();
-    profile.runs = static_cast<int>(reader.i64());
-    profile.time_s = get_estimate(reader);
-    profile.energy_j = get_estimate(reader);
-    profile.cycles = get_estimate(reader);
-    return profile;
+template <class IO, Is<EvaluationResult> R>
+void visit(IO& io, R& result) {
+    io.pointer(result.front,
+               [](auto& io, auto& front) { io.seq(front, 16); });
+    visit(io, result.profile);
+    io.f64(result.leakage);
 }
 
-void put_cache_stats(Writer& writer, const EvaluationCache::Stats& stats) {
-    writer.u64(stats.hits);
-    writer.u64(stats.misses);
-    writer.u64(stats.evictions);
-    writer.u64(stats.store_hits);
-    writer.u64(stats.store_misses);
-    writer.u64(stats.spills);
-    writer.u64(stats.store_rejects);
-    writer.u64(stats.remote_hits);
-    writer.u64(stats.remote_misses);
-    writer.u64(stats.entries);
-    writer.f64(stats.resident_cost);
+// -- statistics ---------------------------------------------------------------
+
+template <class IO, Is<EvaluationCache::Stats> S>
+void visit(IO& io, S& stats) {
+    io.u64(stats.hits);
+    io.u64(stats.misses);
+    io.u64(stats.evictions);
+    io.u64(stats.store_hits);
+    io.u64(stats.store_misses);
+    io.u64(stats.spills);
+    io.u64(stats.store_rejects);
+    io.u64(stats.remote_hits);
+    io.u64(stats.remote_misses);
+    io.u64(stats.entries);
+    io.f64(stats.resident_cost);
 }
 
-EvaluationCache::Stats get_cache_stats(Reader& reader) {
-    EvaluationCache::Stats stats;
-    stats.hits = reader.u64();
-    stats.misses = reader.u64();
-    stats.evictions = reader.u64();
-    stats.store_hits = reader.u64();
-    stats.store_misses = reader.u64();
-    stats.spills = reader.u64();
-    stats.store_rejects = reader.u64();
-    stats.remote_hits = reader.u64();
-    stats.remote_misses = reader.u64();
-    stats.entries = reader.u64();
-    stats.resident_cost = reader.f64();
-    return stats;
+template <class IO, Is<AdmissionStats::PerClass> C>
+void visit(IO& io, C& per_class) {
+    io.u64(per_class.submitted);
+    io.u64(per_class.admitted);
+    io.u64(per_class.rejected);
+    io.u64(per_class.shed);
+    io.u64(per_class.completed);
+    io.u64(per_class.cancelled);
+    io.u64(per_class.failed);
+    io.u64(per_class.queue_peak);
 }
 
-void put_admission(Writer& writer, const AdmissionStats& stats) {
-    for (const auto& per_class : stats.classes) {
-        writer.u64(per_class.submitted);
-        writer.u64(per_class.admitted);
-        writer.u64(per_class.rejected);
-        writer.u64(per_class.shed);
-        writer.u64(per_class.completed);
-        writer.u64(per_class.cancelled);
-        writer.u64(per_class.failed);
-        writer.u64(per_class.queue_peak);
-    }
-    writer.u32(static_cast<std::uint32_t>(stats.remote_failures.size()));
-    for (const std::uint64_t failures : stats.remote_failures)
-        writer.u64(failures);
+template <class IO, Is<AdmissionStats> A>
+void visit(IO& io, A& stats) {
+    for (auto& per_class : stats.classes) visit(io, per_class);
+    io.seq(stats.remote_failures, 8,
+           [](auto& io, auto& failures) { io.u64(failures); });
 }
 
-AdmissionStats get_admission(Reader& reader) {
-    AdmissionStats stats;
-    for (auto& per_class : stats.classes) {
-        per_class.submitted = reader.u64();
-        per_class.admitted = reader.u64();
-        per_class.rejected = reader.u64();
-        per_class.shed = reader.u64();
-        per_class.completed = reader.u64();
-        per_class.cancelled = reader.u64();
-        per_class.failed = reader.u64();
-        per_class.queue_peak = reader.u64();
-    }
-    const std::uint32_t remotes = reader.count(8);
-    stats.remote_failures.reserve(remotes);
-    for (std::uint32_t i = 0; i < remotes; ++i)
-        stats.remote_failures.push_back(reader.u64());
-    return stats;
+template <class IO, Is<StageTelemetry> T>
+void visit(IO& io, T& telemetry) {
+    io.canonical_map(telemetry.stages(), 28,  // name len + 3 scalars
+                     "telemetry stages",
+                     [](auto& io, const std::string&, auto& stage) {
+                         io.u64(stage.count);
+                         io.f64(stage.total_s);
+                         io.f64(stage.max_s);
+                     });
 }
 
-void put_telemetry(Writer& writer, const StageTelemetry& telemetry) {
-    writer.u32(static_cast<std::uint32_t>(telemetry.stages().size()));
-    for (const auto& [name, stage] : telemetry.stages()) {
-        writer.str(name);
-        writer.u64(stage.count);
-        writer.f64(stage.total_s);
-        writer.f64(stage.max_s);
-    }
-}
-
-StageTelemetry get_telemetry(Reader& reader) {
-    StageTelemetry telemetry;
-    const std::uint32_t n = reader.count(28);  // name len + 3 scalars
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::string name = reader.str();
-        StageTelemetry::PerStage stage;
-        stage.count = reader.u64();
-        stage.total_s = reader.f64();
-        stage.max_s = reader.f64();
-        telemetry.merge(name, stage);
-    }
-    return telemetry;
+template <class IO, Is<BatchStats> B>
+void visit(IO& io, B& stats) {
+    io.u64(stats.scenarios);
+    io.u64(stats.workers);
+    io.f64(stats.wall_s);
+    io.f64(stats.scenarios_per_s);
+    visit(io, stats.cache);
+    visit(io, stats.stage_telemetry);
+    visit(io, stats.admission);
 }
 
 // -- platform -----------------------------------------------------------------
 
-void put_target_model(Writer& writer, const isa::TargetModel& model) {
-    writer.str(model.name);
-    writer.boolean(model.predictable);
-    writer.u32(static_cast<std::uint32_t>(model.cost.size()));
-    for (const auto& entry : model.cost) {
-        writer.f64(entry.cycles);
-        writer.f64(entry.energy_pj);
-    }
-    writer.f64(model.branch_cycles);
-    writer.f64(model.branch_energy_pj);
-    writer.f64(model.loop_iter_cycles);
-    writer.f64(model.loop_iter_energy_pj);
-    writer.f64(model.call_cycles);
-    writer.f64(model.call_energy_pj);
-    writer.f64(model.nominal_voltage);
-    writer.f64(model.data_alpha_pj_per_bit);
-    writer.f64(model.cache_miss_prob);
-    writer.f64(model.cache_miss_penalty);
-    writer.f64(model.timing_jitter_sigma);
-}
-
-isa::TargetModel get_target_model(Reader& reader) {
-    isa::TargetModel model;
-    model.name = reader.str();
-    model.predictable = reader.boolean();
+template <class IO, Is<isa::TargetModel> M>
+void visit(IO& io, M& model) {
+    io.str(model.name);
+    io.boolean(model.predictable);
     // The cost table is fixed-size per codec generation; a different class
     // count is a layout change, which is what the version field is for —
     // here it can only mean corruption that survived the checksum window.
-    if (reader.u32() != model.cost.size())
+    auto classes = static_cast<std::uint32_t>(model.cost.size());
+    io.u32(classes);
+    if (classes != model.cost.size())
         throw WireFormatError("wire cost table size invalid");
     for (auto& entry : model.cost) {
-        entry.cycles = reader.f64();
-        entry.energy_pj = reader.f64();
+        io.f64(entry.cycles);
+        io.f64(entry.energy_pj);
     }
-    model.branch_cycles = reader.f64();
-    model.branch_energy_pj = reader.f64();
-    model.loop_iter_cycles = reader.f64();
-    model.loop_iter_energy_pj = reader.f64();
-    model.call_cycles = reader.f64();
-    model.call_energy_pj = reader.f64();
-    model.nominal_voltage = reader.f64();
-    model.data_alpha_pj_per_bit = reader.f64();
-    model.cache_miss_prob = reader.f64();
-    model.cache_miss_penalty = reader.f64();
-    model.timing_jitter_sigma = reader.f64();
-    return model;
+    io.f64(model.branch_cycles);
+    io.f64(model.branch_energy_pj);
+    io.f64(model.loop_iter_cycles);
+    io.f64(model.loop_iter_energy_pj);
+    io.f64(model.call_cycles);
+    io.f64(model.call_energy_pj);
+    io.f64(model.nominal_voltage);
+    io.f64(model.data_alpha_pj_per_bit);
+    io.f64(model.cache_miss_prob);
+    io.f64(model.cache_miss_penalty);
+    io.f64(model.timing_jitter_sigma);
 }
 
-void put_platform(Writer& writer, const platform::Platform& platform) {
-    writer.str(platform.name);
-    writer.f64(platform.base_power_w);
-    writer.u32(static_cast<std::uint32_t>(platform.cores.size()));
-    for (const auto& core : platform.cores) {
-        writer.str(core.name);
-        put_target_model(writer, core.model);
-        writer.u32(static_cast<std::uint32_t>(core.opps.size()));
-        for (const auto& opp : core.opps) {
-            writer.f64(opp.freq_hz);
-            writer.f64(opp.voltage);
-            writer.f64(opp.static_power_w);
+template <class IO, Is<platform::OperatingPoint> O>
+void visit(IO& io, O& opp) {
+    io.f64(opp.freq_hz);
+    io.f64(opp.voltage);
+    io.f64(opp.static_power_w);
+}
+
+template <class IO, Is<platform::Core> C>
+void visit(IO& io, C& core) {
+    io.str(core.name);
+    visit(io, core.model);
+    io.seq(core.opps, 24);
+    io.str(core.core_class);
+}
+
+template <class IO, Is<platform::Platform> P>
+void visit(IO& io, P& platform) {
+    io.str(platform.name);
+    io.f64(platform.base_power_w);
+    io.seq(platform.cores, 24);
+}
+
+// -- CSL spec and workflow options --------------------------------------------
+
+constexpr auto kStrings = [](auto& io, auto& text) { io.str(text); };
+
+template <class IO, Is<csl::TaskSpec> T>
+void visit(IO& io, T& task) {
+    io.str(task.name);
+    io.str(task.entry);
+    io.f64(task.period_s);
+    io.f64(task.deadline_s);
+    io.f64(task.time_budget_s);
+    io.f64(task.energy_budget_j);
+    io.f64(task.leakage_budget);
+    io.str(task.security_hint);
+    io.str(task.core_class);
+    io.seq(task.deps, 4, kStrings);
+}
+
+template <class IO, Is<csl::AppSpec> S>
+void visit(IO& io, S& spec) {
+    io.str(spec.name);
+    io.str(spec.platform);
+    io.f64(spec.deadline_s);
+    io.seq(spec.tasks, 60);
+}
+
+template <class IO, Is<WorkflowOptions> W>
+void visit(IO& io, W& options) {
+    auto& compiler = options.compiler;
+    io.enumeration(compiler.engine,
+                   compiler::MultiCriteriaCompiler::Engine::kWeightedSum,
+                   "compiler engine");
+    io.i64(compiler.population);
+    io.i64(compiler.iterations);
+    io.u64(compiler.seed);
+    io.boolean(compiler.explore_security);
+    io.u64(compiler.max_versions);
+    auto& scheduler = options.scheduler;
+    io.enumeration(scheduler.objective,
+                   coordination::Scheduler::Objective::kEnergy,
+                   "scheduler objective");
+    io.f64(scheduler.deadline_s);
+    io.boolean(scheduler.anneal);
+    io.i64(scheduler.anneal_iterations);
+    io.u64(scheduler.seed);
+    io.i64(options.profile_runs);
+    io.optional(options.glue_style, [](auto& io, auto& style) {
+        io.enumeration(style, coordination::GlueStyle::kPosix, "glue style");
+    });
+}
+
+/// The request's program and platform: borrowed by pointer when encoding
+/// a ScenarioRequest, owned by value when decoding into a frame.
+template <class T>
+T& referent(T* borrowed) {
+    return *borrowed;
+}
+template <class T>
+T& referent(T& owned) {
+    return owned;
+}
+
+template <class IO, class R>
+    requires Is<R, ScenarioRequest> || Is<R, ScenarioRequestFrame>
+void visit(IO& io, R& request) {
+    visit(io, referent(request.program));
+    visit(io, referent(request.platform));
+    io.str(request.csl_source);
+    io.optional(request.spec);
+    visit(io, request.options);
+    io.str(request.label);
+    io.enumeration(request.priority,
+                   static_cast<Priority>(kNumPriorityClasses - 1),
+                   "priority byte");
+    // The deadline crosses as remaining budget: an absolute steady-clock
+    // value is meaningless on another host's clock.
+    io.optional(request.deadline, [](auto& io, auto& deadline) {
+        using Clock = std::chrono::steady_clock;
+        if constexpr (kDecoding<IO>) {
+            double budget_s = 0.0;
+            io.f64(budget_s);
+            if (std::isnan(budget_s))
+                throw WireFormatError("wire deadline budget is NaN");
+            // Re-anchor on this host's steady clock.  A negative budget is
+            // legal: it means the deadline passed in transit and admission
+            // should refuse the request immediately.
+            deadline = Clock::now() +
+                       std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(budget_s));
+        } else {
+            io.f64(std::chrono::duration<double>(deadline - Clock::now())
+                       .count());
         }
-        writer.str(core.core_class);
-    }
-}
-
-platform::Platform get_platform(Reader& reader) {
-    platform::Platform platform;
-    platform.name = reader.str();
-    platform.base_power_w = reader.f64();
-    const std::uint32_t cores = reader.count(24);
-    platform.cores.reserve(cores);
-    for (std::uint32_t i = 0; i < cores; ++i) {
-        platform::Core core;
-        core.name = reader.str();
-        core.model = get_target_model(reader);
-        const std::uint32_t opps = reader.count(24);
-        core.opps.reserve(opps);
-        for (std::uint32_t j = 0; j < opps; ++j) {
-            platform::OperatingPoint opp;
-            opp.freq_hz = reader.f64();
-            opp.voltage = reader.f64();
-            opp.static_power_w = reader.f64();
-            core.opps.push_back(opp);
-        }
-        core.core_class = reader.str();
-        platform.cores.push_back(std::move(core));
-    }
-    return platform;
-}
-
-// -- CSL spec -----------------------------------------------------------------
-
-void put_app_spec(Writer& writer, const csl::AppSpec& spec) {
-    writer.str(spec.name);
-    writer.str(spec.platform);
-    writer.f64(spec.deadline_s);
-    writer.u32(static_cast<std::uint32_t>(spec.tasks.size()));
-    for (const auto& task : spec.tasks) {
-        writer.str(task.name);
-        writer.str(task.entry);
-        writer.f64(task.period_s);
-        writer.f64(task.deadline_s);
-        writer.f64(task.time_budget_s);
-        writer.f64(task.energy_budget_j);
-        writer.f64(task.leakage_budget);
-        writer.str(task.security_hint);
-        writer.str(task.core_class);
-        writer.u32(static_cast<std::uint32_t>(task.deps.size()));
-        for (const auto& dep : task.deps) writer.str(dep);
-    }
-}
-
-csl::AppSpec get_app_spec(Reader& reader) {
-    csl::AppSpec spec;
-    spec.name = reader.str();
-    spec.platform = reader.str();
-    spec.deadline_s = reader.f64();
-    const std::uint32_t tasks = reader.count(60);
-    spec.tasks.reserve(tasks);
-    for (std::uint32_t i = 0; i < tasks; ++i) {
-        csl::TaskSpec task;
-        task.name = reader.str();
-        task.entry = reader.str();
-        task.period_s = reader.f64();
-        task.deadline_s = reader.f64();
-        task.time_budget_s = reader.f64();
-        task.energy_budget_j = reader.f64();
-        task.leakage_budget = reader.f64();
-        task.security_hint = reader.str();
-        task.core_class = reader.str();
-        const std::uint32_t deps = reader.count(4);
-        task.deps.reserve(deps);
-        for (std::uint32_t j = 0; j < deps; ++j)
-            task.deps.push_back(reader.str());
-        spec.tasks.push_back(std::move(task));
-    }
-    return spec;
-}
-
-// -- workflow options ---------------------------------------------------------
-
-void put_options(Writer& writer, const WorkflowOptions& options) {
-    writer.u8(static_cast<std::uint8_t>(options.compiler.engine));
-    writer.i64(options.compiler.population);
-    writer.i64(options.compiler.iterations);
-    writer.u64(options.compiler.seed);
-    writer.boolean(options.compiler.explore_security);
-    writer.u64(options.compiler.max_versions);
-    writer.u8(static_cast<std::uint8_t>(options.scheduler.objective));
-    writer.f64(options.scheduler.deadline_s);
-    writer.boolean(options.scheduler.anneal);
-    writer.i64(options.scheduler.anneal_iterations);
-    writer.u64(options.scheduler.seed);
-    writer.i64(options.profile_runs);
-    writer.boolean(options.glue_style.has_value());
-    if (options.glue_style)
-        writer.u8(static_cast<std::uint8_t>(*options.glue_style));
-}
-
-WorkflowOptions get_options(Reader& reader) {
-    WorkflowOptions options;
-    const std::uint8_t engine = reader.u8();
-    if (engine > static_cast<std::uint8_t>(
-                     compiler::MultiCriteriaCompiler::Engine::kWeightedSum))
-        throw WireFormatError("wire compiler engine invalid");
-    options.compiler.engine =
-        static_cast<compiler::MultiCriteriaCompiler::Engine>(engine);
-    options.compiler.population = static_cast<int>(reader.i64());
-    options.compiler.iterations = static_cast<int>(reader.i64());
-    options.compiler.seed = reader.u64();
-    options.compiler.explore_security = reader.boolean();
-    options.compiler.max_versions = reader.u64();
-    const std::uint8_t objective = reader.u8();
-    if (objective > static_cast<std::uint8_t>(
-                        coordination::Scheduler::Objective::kEnergy))
-        throw WireFormatError("wire scheduler objective invalid");
-    options.scheduler.objective =
-        static_cast<coordination::Scheduler::Objective>(objective);
-    options.scheduler.deadline_s = reader.f64();
-    options.scheduler.anneal = reader.boolean();
-    options.scheduler.anneal_iterations = static_cast<int>(reader.i64());
-    options.scheduler.seed = reader.u64();
-    options.profile_runs = static_cast<int>(reader.i64());
-    if (reader.boolean()) {
-        const std::uint8_t style = reader.u8();
-        if (style > static_cast<std::uint8_t>(coordination::GlueStyle::kPosix))
-            throw WireFormatError("wire glue style invalid");
-        options.glue_style = static_cast<coordination::GlueStyle>(style);
-    }
-    return options;
+    });
 }
 
 // -- report payloads ----------------------------------------------------------
 
-void put_task_graph(Writer& writer, const coordination::TaskGraph& graph) {
-    writer.str(graph.app_name);
-    writer.u32(static_cast<std::uint32_t>(graph.tasks.size()));
-    for (const auto& task : graph.tasks) {
-        writer.str(task.name);
-        writer.str(task.entry_fn);
-        writer.u32(static_cast<std::uint32_t>(task.deps.size()));
-        for (const auto& dep : task.deps) writer.str(dep);
-        writer.f64(task.period_s);
-        writer.f64(task.deadline_s);
-        // std::map iteration: core-class order, canonical on both sides.
-        writer.u32(static_cast<std::uint32_t>(task.versions.size()));
-        for (const auto& [core_class, versions] : task.versions) {
-            writer.str(core_class);
-            writer.u32(static_cast<std::uint32_t>(versions.size()));
-            for (const auto& choice : versions) {
-                writer.f64(choice.time_s);
-                writer.f64(choice.energy_j);
-                writer.f64(choice.leakage);
-                writer.u64(choice.opp_index);
-                writer.str(choice.note);
-            }
-        }
-    }
+template <class IO, Is<coordination::VersionChoice> V>
+void visit(IO& io, V& choice) {
+    io.f64(choice.time_s);
+    io.f64(choice.energy_j);
+    io.f64(choice.leakage);
+    io.u64(choice.opp_index);
+    io.str(choice.note);
 }
 
-coordination::TaskGraph get_task_graph(Reader& reader) {
-    coordination::TaskGraph graph;
-    graph.app_name = reader.str();
-    const std::uint32_t tasks = reader.count(32);
-    graph.tasks.reserve(tasks);
-    for (std::uint32_t i = 0; i < tasks; ++i) {
-        coordination::Task task;
-        task.name = reader.str();
-        task.entry_fn = reader.str();
-        const std::uint32_t deps = reader.count(4);
-        task.deps.reserve(deps);
-        for (std::uint32_t j = 0; j < deps; ++j)
-            task.deps.push_back(reader.str());
-        task.period_s = reader.f64();
-        task.deadline_s = reader.f64();
-        const std::uint32_t classes = reader.count(8);
-        std::string previous_class;
-        for (std::uint32_t j = 0; j < classes; ++j) {
-            std::string core_class = reader.str();
-            if (j > 0 && core_class <= previous_class)
-                throw WireFormatError(
-                    "wire version map not in canonical order");
-            previous_class = core_class;
-            const std::uint32_t versions = reader.count(36);
-            std::vector<coordination::VersionChoice> choices;
-            choices.reserve(versions);
-            for (std::uint32_t k = 0; k < versions; ++k) {
-                coordination::VersionChoice choice;
-                choice.time_s = reader.f64();
-                choice.energy_j = reader.f64();
-                choice.leakage = reader.f64();
-                choice.opp_index = reader.u64();
-                choice.note = reader.str();
-                choices.push_back(std::move(choice));
-            }
-            task.versions[std::move(core_class)] = std::move(choices);
-        }
-        graph.tasks.push_back(std::move(task));
-    }
-    return graph;
+template <class IO, Is<coordination::Task> T>
+void visit(IO& io, T& task) {
+    io.str(task.name);
+    io.str(task.entry_fn);
+    io.seq(task.deps, 4, kStrings);
+    io.f64(task.period_s);
+    io.f64(task.deadline_s);
+    io.canonical_map(task.versions, 8, "version map",
+                     [](auto& io, const std::string&, auto& choices) {
+                         io.seq(choices, 36);
+                     });
 }
 
-void put_schedule(Writer& writer, const coordination::Schedule& schedule) {
-    writer.u32(static_cast<std::uint32_t>(schedule.entries.size()));
-    for (const auto& entry : schedule.entries) {
-        writer.str(entry.task);
-        writer.u64(entry.core);
-        writer.u64(entry.version);
-        writer.str(entry.core_class);
-        writer.f64(entry.start_s);
-        writer.f64(entry.finish_s);
-        writer.f64(entry.dynamic_energy_j);
-        writer.u64(entry.opp_index);
-    }
-    writer.f64(schedule.makespan_s);
-    writer.boolean(schedule.feasible);
+template <class IO, Is<coordination::TaskGraph> G>
+void visit(IO& io, G& graph) {
+    io.str(graph.app_name);
+    io.seq(graph.tasks, 32);
 }
 
-coordination::Schedule get_schedule(Reader& reader) {
-    coordination::Schedule schedule;
-    const std::uint32_t entries = reader.count(64);
-    schedule.entries.reserve(entries);
-    for (std::uint32_t i = 0; i < entries; ++i) {
-        coordination::ScheduleEntry entry;
-        entry.task = reader.str();
-        entry.core = reader.u64();
-        entry.version = reader.u64();
-        entry.core_class = reader.str();
-        entry.start_s = reader.f64();
-        entry.finish_s = reader.f64();
-        entry.dynamic_energy_j = reader.f64();
-        entry.opp_index = reader.u64();
-        schedule.entries.push_back(std::move(entry));
-    }
-    schedule.makespan_s = reader.f64();
-    schedule.feasible = reader.boolean();
-    return schedule;
+template <class IO, Is<coordination::ScheduleEntry> E>
+void visit(IO& io, E& entry) {
+    io.str(entry.task);
+    io.u64(entry.core);
+    io.u64(entry.version);
+    io.str(entry.core_class);
+    io.f64(entry.start_s);
+    io.f64(entry.finish_s);
+    io.f64(entry.dynamic_energy_j);
+    io.u64(entry.opp_index);
 }
 
-void put_proof_node(Writer& writer, const contracts::ProofNode& node) {
-    writer.u8(static_cast<std::uint8_t>(node.rule));
-    writer.f64(node.value);
-    writer.f64(node.param);
-    writer.str(node.note);
-    writer.u32(static_cast<std::uint32_t>(node.children.size()));
-    for (const auto& child : node.children) put_proof_node(writer, child);
+template <class IO, Is<coordination::Schedule> S>
+void visit(IO& io, S& schedule) {
+    io.seq(schedule.entries, 64);
+    io.f64(schedule.makespan_s);
+    io.boolean(schedule.feasible);
 }
 
-contracts::ProofNode get_proof_node(Reader& reader, int depth) {
-    if (depth > kMaxNodeDepth)
-        throw WireFormatError("wire proof tree nested too deeply");
-    contracts::ProofNode node;
-    const std::uint8_t rule = reader.u8();
-    if (rule > static_cast<std::uint8_t>(contracts::ProofRule::kStaticLeak))
-        throw WireFormatError("wire proof rule invalid");
-    node.rule = static_cast<contracts::ProofRule>(rule);
-    node.value = reader.f64();
-    node.param = reader.f64();
-    node.note = reader.str();
-    const std::uint32_t children = reader.count(25);
-    node.children.reserve(children);
-    for (std::uint32_t i = 0; i < children; ++i)
-        node.children.push_back(get_proof_node(reader, depth + 1));
-    return node;
+template <class IO, Is<contracts::ProofNode> N>
+void visit(IO& io, N& node) {
+    [[maybe_unused]] const auto level = io.nest("proof tree");
+    io.enumeration(node.rule, contracts::ProofRule::kStaticLeak,
+                   "proof rule");
+    io.f64(node.value);
+    io.f64(node.param);
+    io.str(node.note);
+    io.seq(node.children, 25);
 }
 
-void put_certificate(Writer& writer,
-                     const contracts::Certificate& certificate) {
-    writer.str(certificate.app);
-    writer.str(certificate.platform);
-    writer.u32(static_cast<std::uint32_t>(certificate.results.size()));
-    for (const auto& result : certificate.results) {
-        writer.str(result.poi);
-        writer.u8(static_cast<std::uint8_t>(result.property));
-        writer.f64(result.budget);
-        writer.f64(result.analysed);
-        writer.boolean(result.holds);
-        writer.boolean(result.measured_only);
-        put_proof_node(writer, result.proof);
-    }
+template <class IO, Is<contracts::ContractResult> R>
+void visit(IO& io, R& result) {
+    io.str(result.poi);
+    io.enumeration(result.property, contracts::Property::kSecurity,
+                   "contract property");
+    io.f64(result.budget);
+    io.f64(result.analysed);
+    io.boolean(result.holds);
+    io.boolean(result.measured_only);
+    visit(io, result.proof);
 }
 
-contracts::Certificate get_certificate(Reader& reader) {
-    contracts::Certificate certificate;
-    certificate.app = reader.str();
-    certificate.platform = reader.str();
-    const std::uint32_t results = reader.count(48);
-    certificate.results.reserve(results);
-    for (std::uint32_t i = 0; i < results; ++i) {
-        contracts::ContractResult result;
-        result.poi = reader.str();
-        const std::uint8_t property = reader.u8();
-        if (property >
-            static_cast<std::uint8_t>(contracts::Property::kSecurity))
-            throw WireFormatError("wire contract property invalid");
-        result.property = static_cast<contracts::Property>(property);
-        result.budget = reader.f64();
-        result.analysed = reader.f64();
-        result.holds = reader.boolean();
-        result.measured_only = reader.boolean();
-        result.proof = get_proof_node(reader, 0);
-        certificate.results.push_back(std::move(result));
-    }
-    return certificate;
+template <class IO, Is<contracts::Certificate> C>
+void visit(IO& io, C& certificate) {
+    io.str(certificate.app);
+    io.str(certificate.platform);
+    io.seq(certificate.results, 48);
 }
 
-void put_report(Writer& writer, const ToolchainReport& report) {
-    put_app_spec(writer, report.spec);
-    writer.str(report.platform_name);
-    put_task_graph(writer, report.graph);
-    put_schedule(writer, report.schedule);
-    put_certificate(writer, report.certificate);
-    writer.str(report.glue_code);
-    writer.str(report.sequential_glue);
-    writer.u32(static_cast<std::uint32_t>(report.fronts.size()));
-    for (const auto& front : report.fronts) {
-        writer.str(front.task);
-        writer.str(front.core_class);
-        writer.u32(static_cast<std::uint32_t>(front.versions.size()));
-        for (const auto& version : front.versions)
-            put_task_version(writer, version);
-    }
-    // std::map iteration: ascending core index, canonical on both sides.
-    writer.u32(static_cast<std::uint32_t>(report.rta.size()));
-    for (const auto& [core, rta] : report.rta) {
-        writer.u64(core);
-        writer.boolean(rta.schedulable);
-        writer.u32(static_cast<std::uint32_t>(rta.response_times.size()));
-        for (const double response : rta.response_times)
-            writer.f64(response);
-    }
-    writer.u32(static_cast<std::uint32_t>(report.stage_laps.size()));
-    for (const auto& lap : report.stage_laps) {
-        writer.str(lap.stage);
-        writer.f64(lap.seconds);
-    }
+template <class IO, Is<TaskFront> F>
+void visit(IO& io, F& front) {
+    io.str(front.task);
+    io.str(front.core_class);
+    io.seq(front.versions, 16);
 }
 
-ToolchainReport get_report(Reader& reader) {
-    ToolchainReport report;
-    report.spec = get_app_spec(reader);
-    report.platform_name = reader.str();
-    report.graph = get_task_graph(reader);
-    report.schedule = get_schedule(reader);
-    report.certificate = get_certificate(reader);
-    report.glue_code = reader.str();
-    report.sequential_glue = reader.str();
-    const std::uint32_t fronts = reader.count(12);
-    report.fronts.reserve(fronts);
-    for (std::uint32_t i = 0; i < fronts; ++i) {
-        TaskFront front;
-        front.task = reader.str();
-        front.core_class = reader.str();
-        const std::uint32_t versions = reader.count(16);
-        front.versions.reserve(versions);
-        for (std::uint32_t j = 0; j < versions; ++j)
-            front.versions.push_back(get_task_version(reader));
-        report.fronts.push_back(std::move(front));
-    }
-    const std::uint32_t rta_entries = reader.count(13);
-    bool have_previous_core = false;
-    std::size_t previous_core = 0;
-    for (std::uint32_t i = 0; i < rta_entries; ++i) {
-        const std::size_t core = reader.u64();
-        if (have_previous_core && core <= previous_core)
-            throw WireFormatError("wire rta map not in canonical order");
-        have_previous_core = true;
-        previous_core = core;
-        coordination::RtaResult rta;
-        rta.schedulable = reader.boolean();
-        const std::uint32_t responses = reader.count(8);
-        rta.response_times.reserve(responses);
-        for (std::uint32_t j = 0; j < responses; ++j)
-            rta.response_times.push_back(reader.f64());
-        report.rta[core] = std::move(rta);
-    }
-    const std::uint32_t laps = reader.count(12);
-    report.stage_laps.reserve(laps);
-    for (std::uint32_t i = 0; i < laps; ++i) {
-        StageLap lap;
-        lap.stage = reader.str();
-        lap.seconds = reader.f64();
-        report.stage_laps.push_back(std::move(lap));
-    }
-    return report;
+template <class IO, Is<StageLap> L>
+void visit(IO& io, L& lap) {
+    io.str(lap.stage);
+    io.f64(lap.seconds);
+}
+
+template <class IO, Is<ToolchainReport> R>
+void visit(IO& io, R& report) {
+    visit(io, report.spec);
+    io.str(report.platform_name);
+    visit(io, report.graph);
+    visit(io, report.schedule);
+    visit(io, report.certificate);
+    io.str(report.glue_code);
+    io.str(report.sequential_glue);
+    io.seq(report.fronts, 12);
+    io.canonical_map(report.rta, 13, "rta map",
+                     [](auto& io, std::size_t, auto& rta) {
+                         io.boolean(rta.schedulable);
+                         io.seq(rta.response_times, 8,
+                                [](auto& io, auto& response) {
+                                    io.f64(response);
+                                });
+                     });
+    io.seq(report.stage_laps, 12);
 }
 
 }  // namespace
@@ -951,101 +753,35 @@ ToolchainReport get_report(Reader& reader) {
 // -- public surface -----------------------------------------------------------
 
 Buffer encode(const EvaluationKey& key) {
-    Writer writer = begin_message(MessageKind::kKey);
-    writer.u64(key.structural_fp);
-    writer.str(key.entry);
-    writer.str(key.core_class);
-    writer.u64(key.opp_index);
-    writer.u8(static_cast<std::uint8_t>(key.kind));
-    writer.u64(key.params);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kKey, key);
 }
 
 EvaluationKey decode_key(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kKey);
-    EvaluationKey key;
-    key.structural_fp = reader.u64();
-    key.entry = reader.str();
-    key.core_class = reader.str();
-    key.opp_index = reader.u64();
-    const std::uint8_t kind = reader.u8();
-    if (kind > static_cast<std::uint8_t>(AnalysisKind::kTaint))
-        throw WireFormatError("wire analysis kind invalid");
-    key.kind = static_cast<AnalysisKind>(kind);
-    key.params = reader.u64();
-    expect_fully_consumed(reader);
-    return key;
+    return decode_message<EvaluationKey>(MessageKind::kKey, buffer);
 }
 
 Buffer encode(const EvaluationResult& result) {
-    Writer writer = begin_message(MessageKind::kResult);
-    writer.boolean(result.front != nullptr);
-    if (result.front) {
-        writer.u32(static_cast<std::uint32_t>(result.front->size()));
-        for (const auto& version : *result.front)
-            put_task_version(writer, version);
-    }
-    put_profile(writer, result.profile);
-    writer.f64(result.leakage);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kResult, result);
 }
 
 EvaluationResult decode_result(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kResult);
-    EvaluationResult result;
-    if (reader.boolean()) {
-        const std::uint32_t n = reader.count(16);
-        std::vector<compiler::TaskVersion> versions;
-        versions.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            versions.push_back(get_task_version(reader));
-        result.front =
-            std::make_shared<const std::vector<compiler::TaskVersion>>(
-                std::move(versions));
-    }
-    result.profile = get_profile(reader);
-    result.leakage = reader.f64();
-    expect_fully_consumed(reader);
-    return result;
+    return decode_message<EvaluationResult>(MessageKind::kResult, buffer);
 }
 
 Buffer encode(const StageTelemetry& telemetry) {
-    Writer writer = begin_message(MessageKind::kTelemetry);
-    put_telemetry(writer, telemetry);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kTelemetry, telemetry);
 }
 
 StageTelemetry decode_telemetry(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kTelemetry);
-    StageTelemetry telemetry = get_telemetry(reader);
-    expect_fully_consumed(reader);
-    return telemetry;
+    return decode_message<StageTelemetry>(MessageKind::kTelemetry, buffer);
 }
 
 Buffer encode(const BatchStats& stats) {
-    Writer writer = begin_message(MessageKind::kBatchStats);
-    writer.u64(stats.scenarios);
-    writer.u64(stats.workers);
-    writer.f64(stats.wall_s);
-    writer.f64(stats.scenarios_per_s);
-    put_cache_stats(writer, stats.cache);
-    put_telemetry(writer, stats.stage_telemetry);
-    put_admission(writer, stats.admission);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kBatchStats, stats);
 }
 
 BatchStats decode_batch_stats(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kBatchStats);
-    BatchStats stats;
-    stats.scenarios = reader.u64();
-    stats.workers = reader.u64();
-    stats.wall_s = reader.f64();
-    stats.scenarios_per_s = reader.f64();
-    stats.cache = get_cache_stats(reader);
-    stats.stage_telemetry = get_telemetry(reader);
-    stats.admission = get_admission(reader);
-    expect_fully_consumed(reader);
-    return stats;
+    return decode_message<BatchStats>(MessageKind::kBatchStats, buffer);
 }
 
 ScenarioRequest ScenarioRequestFrame::request() const {
@@ -1066,65 +802,20 @@ Buffer encode(const ScenarioRequest& request) {
         throw std::invalid_argument(
             "wire: cannot encode a ScenarioRequest without a program and "
             "platform");
-    Writer writer = begin_message(MessageKind::kRequest);
-    put_program(writer, *request.program);
-    put_platform(writer, *request.platform);
-    writer.str(request.csl_source);
-    writer.boolean(request.spec.has_value());
-    if (request.spec) put_app_spec(writer, *request.spec);
-    put_options(writer, request.options);
-    writer.str(request.label);
-    writer.u8(static_cast<std::uint8_t>(request.priority));
-    // The deadline crosses as remaining budget, sampled now: an absolute
-    // steady-clock value is meaningless on another host's clock.
-    writer.boolean(request.deadline.has_value());
-    if (request.deadline.has_value())
-        writer.f64(std::chrono::duration<double>(
-                       *request.deadline - std::chrono::steady_clock::now())
-                       .count());
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kRequest, request);
 }
 
 ScenarioRequestFrame decode_request(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kRequest);
-    ScenarioRequestFrame frame;
-    frame.program = get_program(reader);
-    frame.platform = get_platform(reader);
-    frame.csl_source = reader.str();
-    if (reader.boolean()) frame.spec = get_app_spec(reader);
-    frame.options = get_options(reader);
-    frame.label = reader.str();
-    const std::uint8_t priority = reader.u8();
-    if (priority >= kNumPriorityClasses)
-        throw WireFormatError("wire priority byte invalid");
-    frame.priority = static_cast<Priority>(priority);
-    if (reader.boolean()) {
-        const double budget_s = reader.f64();
-        if (std::isnan(budget_s))
-            throw WireFormatError("wire deadline budget is NaN");
-        // Re-anchor on this host's steady clock.  A negative budget is
-        // legal: it means the deadline passed in transit and admission
-        // should refuse the request immediately.
-        frame.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(budget_s));
-    }
-    expect_fully_consumed(reader);
-    return frame;
+    return decode_message<ScenarioRequestFrame>(MessageKind::kRequest,
+                                                buffer);
 }
 
 Buffer encode(const ToolchainReport& report) {
-    Writer writer = begin_message(MessageKind::kReport);
-    put_report(writer, report);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kReport, report);
 }
 
 ToolchainReport decode_report(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kReport);
-    ToolchainReport report = get_report(reader);
-    expect_fully_consumed(reader);
-    return report;
+    return decode_message<ToolchainReport>(MessageKind::kReport, buffer);
 }
 
 // -- frame streams ------------------------------------------------------------

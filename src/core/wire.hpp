@@ -27,17 +27,25 @@
 //
 //   u32  magic      0x5450_4C57 ("TPLW")
 //   u16  version    kVersion — decoder rejects any other value
-//   u8   kind       message discriminator (key/result/telemetry/batch)
+//   u8   kind       message discriminator (key/result/telemetry/batch/
+//                   request/report)
 //   ...  payload    message-specific, length-prefixed strings/sequences
 //   u64  checksum   FNV-1a 64 of every preceding byte
 //
+// Each payload struct's field order is written once, as one visitor in
+// wire.cpp that both encodes and decodes it.  Adding a field means editing
+// that visitor, bumping kVersion and re-pinning the frame sizes and hashes
+// in tests/test_wire.cpp (`Wire.FrameBytesArePinned`).
+//
 // Strictness: the decoder bounds-checks every read, validates every enum
-// and bool byte, rejects trailing garbage, and verifies the trailing
-// checksum before interpreting the payload — a truncated or corrupted
-// buffer raises WireFormatError, never a partially-filled value.  A valid
-// buffer from a different codec generation raises WireVersionError (the
-// version field is checked only after the checksum proves the buffer
-// intact, so corruption is never misreported as a version skew).
+// and bool byte, rejects integers that do not fit their field, requires
+// map-shaped fields in strict key order, rejects trailing garbage, and
+// verifies the trailing checksum before interpreting the payload — a
+// truncated or corrupted buffer raises WireFormatError, never a
+// partially-filled value.  A valid buffer from a different codec
+// generation raises WireVersionError (the version field is checked only
+// after the checksum proves the buffer intact, so corruption is never
+// misreported as a version skew).
 #pragma once
 
 #include <cstdint>

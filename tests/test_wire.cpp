@@ -6,8 +6,10 @@
 // error path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -742,6 +744,400 @@ TEST(Wire, FrameBytesArePinned) {
         EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), pins[i].fnv1a)
             << frames[i].kind << std::hex << " fnv1a 0x"
             << fnv1a(bytes.data(), bytes.size());
+    }
+}
+
+// -- decoder keeps its own byte-exact contract --------------------------------
+
+/// Offset of the first length-prefixed occurrence of `text` in `frame`.
+std::size_t find_string(const Buffer& frame, std::string_view text) {
+    Buffer needle(4);
+    for (int i = 0; i < 4; ++i)
+        needle[static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(text.size() >> (8 * i));
+    needle.insert(needle.end(), text.begin(), text.end());
+    const auto it = std::search(frame.begin(), frame.end(), needle.begin(),
+                                needle.end());
+    EXPECT_NE(it, frame.end()) << "no string " << text;
+    return static_cast<std::size_t>(it - frame.begin()) + 4;
+}
+
+void put_u64(Buffer& frame, std::size_t offset, std::uint64_t value) {
+    for (int i = 0; i < 8; ++i)
+        frame[offset + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+std::uint64_t get_u64(const Buffer& frame, std::size_t offset) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < 8; ++i)
+        value |= static_cast<std::uint64_t>(
+                     frame[offset + static_cast<std::size_t>(i)])
+                 << (8 * i);
+    return value;
+}
+
+/// Result-frame offset of the first version's `unroll_factor` i64: header
+/// (7), front flag (1), front count (4), six PassConfig bools.
+constexpr std::size_t kUnrollOffset = 7 + 1 + 4 + 6;
+
+TEST(Wire, OutOfRangeIntegerIsRejected) {
+    // An i64 that does not fit the int it decodes into would be narrowed
+    // to a different value, so the frame could never re-encode to itself.
+    Buffer forged = core::wire::encode(pinned_result());
+    ASSERT_EQ(get_u64(forged, kUnrollOffset), 2U);
+    put_u64(forged, kUnrollOffset, (std::uint64_t{1} << 32) + 4);
+    reseal(forged);
+    try {
+        (void)core::wire::decode_result(forged);
+        FAIL() << "an unroll factor of 2^32+4 was accepted";
+    } catch (const core::wire::WireFormatError& error) {
+        EXPECT_STREQ(error.what(), "wire integer out of range");
+    }
+}
+
+TEST(Wire, NonCanonicalTelemetryOrderIsRejected) {
+    // A duplicate stage name would be merged into one stage on decode and
+    // re-encode as a shorter frame.
+    core::StageTelemetry telemetry;
+    telemetry.record("sa", 0.5);
+    telemetry.record("sb", 0.25);
+    Buffer renamed = core::wire::encode(telemetry);
+    renamed[find_string(renamed, "sb") + 1] = 'a';
+    reseal(renamed);
+    EXPECT_THROW((void)core::wire::decode_telemetry(renamed),
+                 core::wire::WireFormatError);
+}
+
+/// encode(decode(b)) for the message kind of pinned frame `index`.
+Buffer reencode(std::size_t index, std::span<const std::uint8_t> bytes) {
+    namespace wire = core::wire;
+    switch (index) {
+        case 0: return wire::encode(wire::decode_key(bytes));
+        case 1: return wire::encode(wire::decode_result(bytes));
+        case 2: return wire::encode(wire::decode_telemetry(bytes));
+        case 3: return wire::encode(wire::decode_batch_stats(bytes));
+        case 4: return wire::encode(wire::decode_request(bytes).request());
+        default: return wire::encode(wire::decode_report(bytes));
+    }
+}
+
+TEST(Wire, ResealedMutationsAreRejectedOrRoundTrip) {
+    // Every byte of every pinned frame, XORed and resealed so the mutation
+    // reaches the payload decoder instead of stopping at the checksum: the
+    // decoder must refuse the frame or accept one that re-encodes to the
+    // exact mutated bytes.  Anything else (a crash, a foreign exception, a
+    // value that re-encodes differently) fails.
+    const auto& frames = pinned_frames();
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        std::size_t accepted = 0;
+        for (std::size_t index = 0; index < frames[f].bytes.size(); ++index) {
+            Buffer mutated = frames[f].bytes;
+            mutated[index] ^= 0x5A;
+            reseal(mutated);
+            try {
+                ASSERT_TRUE(reencode(f, mutated) == mutated)
+                    << frames[f].kind << " byte " << index
+                    << " was accepted but re-encodes differently";
+                ++accepted;
+            } catch (const core::wire::WireError&) {
+            }
+        }
+        // Doubles, counters and string bytes absorb most flips: the
+        // matrix must reach the accept path, not only the rejections.
+        EXPECT_GT(accepted, 0U) << frames[f].kind;
+    }
+}
+
+/// A result frame whose one version carries a one-function program with
+/// `body`; the frame ends with the empty profile (124 bytes with leakage
+/// and checksum), so the body's last byte sits at size - 125.
+constexpr std::size_t kResultTail = 4 + 8 + 3 * 32 + 8 + 8;
+
+Buffer result_with_body(ir::NodePtr body) {
+    ir::Function fn;
+    fn.name = "f";
+    fn.body = std::move(body);
+    auto program = std::make_shared<ir::Program>();
+    program->add(std::move(fn));
+    compiler::TaskVersion version;
+    version.program = std::move(program);
+    core::EvaluationResult result;
+    result.front =
+        std::make_shared<const std::vector<compiler::TaskVersion>>(
+            std::vector<compiler::TaskVersion>{version});
+    return core::wire::encode(result);
+}
+
+/// A request frame with an empty program and a one-core platform whose
+/// names are one letter each.  The options block starts 83 bytes before
+/// the end when the request has no glue style, no deadline and no label.
+constexpr std::size_t kOptionsFromEnd = 69 + 4 + 1 + 1 + 8;
+
+Buffer tiny_request(core::ScenarioRequest request = {}) {
+    static const ir::Program program;
+    static const platform::Platform board = [] {
+        platform::Platform p;
+        p.name = "p";
+        p.cores.emplace_back();
+        p.cores[0].name = "c";
+        p.cores[0].model.name = "m";
+        return p;
+    }();
+    request.program = &program;
+    request.platform = &board;
+    return core::wire::encode(request);
+}
+
+/// A report frame with nothing but `report`'s hand-set fields.  After the
+/// certificate come two empty glue strings and three empty counts (front,
+/// RTA, lap) before the checksum: 28 bytes.
+constexpr std::size_t kReportTail = 4 + 4 + 4 + 4 + 4 + 8;
+
+ir::NodePtr seq_chain(int depth) {
+    auto node = ir::Node::block({});
+    for (int i = 0; i < depth; ++i) {
+        std::vector<ir::NodePtr> children;
+        children.push_back(std::move(node));
+        node = ir::Node::seq(std::move(children));
+    }
+    return node;
+}
+
+TEST(Wire, EveryDiagnosticIsPinned) {
+    namespace wire = core::wire;
+    using Trigger = std::function<void()>;
+    const Buffer key = wire::encode(sample_key());
+    const auto patched = [](Buffer frame, std::size_t offset,
+                            std::uint8_t value) {
+        frame[offset] = value;
+        reseal(frame);
+        return frame;
+    };
+    const struct {
+        const char* what;
+        Trigger trigger;
+    } cases[] = {
+        {"wire buffer shorter than frame",
+         [&] { (void)wire::decode_key(std::span(key).first(14)); }},
+        {"wire magic mismatch",
+         [&] {
+             Buffer bad = key;
+             bad[0] ^= 0x5A;
+             (void)wire::decode_key(bad);
+         }},
+        {"wire checksum mismatch",
+         [&] {
+             Buffer bad = key;
+             bad[20] ^= 0x5A;
+             (void)wire::decode_key(bad);
+         }},
+        {"wire version mismatch: found 5, expected 4",
+         [&] { (void)wire::decode_key(patched(key, 4, 5)); }},
+        {"wire message kind mismatch",
+         [&] { (void)wire::decode_key(wire::encode(pinned_telemetry())); }},
+        {"wire payload has trailing bytes",
+         [&] {
+             Buffer padded = key;
+             padded.insert(padded.end() - 8, 0x00);
+             reseal(padded);
+             (void)wire::decode_key(padded);
+         }},
+        // The entry string's length prefix (bytes 15..18) claims more
+        // bytes than the frame holds.
+        {"wire buffer truncated",
+         [&] { (void)wire::decode_key(patched(key, 18, 0x7F)); }},
+        {"wire bool byte not 0/1",
+         [&] {
+             (void)wire::decode_result(
+                 patched(wire::encode(core::EvaluationResult{}), 7, 2));
+         }},
+        {"wire sequence count exceeds buffer",
+         [&] {
+             core::EvaluationResult result;
+             result.front = std::make_shared<
+                 const std::vector<compiler::TaskVersion>>();
+             (void)wire::decode_result(
+                 patched(wire::encode(result), 11, 0x7F));
+         }},
+        {"wire analysis kind invalid",
+         [&] { (void)wire::decode_key(patched(key, 44, 0x7F)); }},
+        {"wire node tree nested too deeply",
+         [&] { (void)wire::decode_result(result_with_body(seq_chain(300))); }},
+        {"wire node kind invalid",
+         [&] {
+             const Buffer frame = result_with_body(ir::Node::block({}));
+             const std::size_t at = frame.size() - kResultTail - 5;
+             ASSERT_EQ(frame[at], 0U);  // kBlock
+             (void)wire::decode_result(patched(frame, at, 0x7F));
+         }},
+        {"wire opcode invalid",
+         [&] {
+             const Buffer frame =
+                 result_with_body(ir::Node::block({ir::Instr{}}));
+             const std::size_t at = frame.size() - kResultTail - 26;
+             ASSERT_EQ(frame[at], static_cast<std::uint8_t>(ir::Opcode::kNop));
+             (void)wire::decode_result(patched(frame, at, 0xFF));
+         }},
+        {"wire program functions not in canonical order",
+         [&] {
+             ir::Program program;
+             for (const char* name : {"fa", "fb"}) {
+                 ir::Function fn;
+                 fn.name = name;
+                 program.add(std::move(fn));
+             }
+             compiler::TaskVersion version;
+             version.program = std::make_shared<const ir::Program>(program);
+             core::EvaluationResult result;
+             result.front = std::make_shared<
+                 const std::vector<compiler::TaskVersion>>(
+                 std::vector<compiler::TaskVersion>{version});
+             Buffer frame = wire::encode(result);
+             (void)wire::decode_result(
+                 patched(frame, find_string(frame, "fb") + 1, 'a'));
+         }},
+        {"wire security level invalid",
+         [&] {
+             core::EvaluationResult result;
+             result.front = std::make_shared<
+                 const std::vector<compiler::TaskVersion>>(1);
+             (void)wire::decode_result(
+                 patched(wire::encode(result), kUnrollOffset + 8, 0x7F));
+         }},
+        {"wire integer out of range",
+         [&] {
+             core::EvaluationResult result;
+             result.front = std::make_shared<
+                 const std::vector<compiler::TaskVersion>>(1);
+             // The unroll factor's top byte: a negative i64 far below
+             // INT_MIN.
+             (void)wire::decode_result(
+                 patched(wire::encode(result), kUnrollOffset + 7, 0x80));
+         }},
+        {"wire telemetry stages not in canonical order",
+         [&] {
+             Buffer frame = wire::encode(pinned_telemetry());
+             (void)wire::decode_telemetry(
+                 patched(frame, find_string(frame, "parse"), 'a'));
+         }},
+        {"wire cost table size invalid",
+         [&] {
+             // header 7, empty program 12, "p" 5, base power 8, core count
+             // 4, "c" 5, "m" 5, predictable 1.
+             const std::size_t at = 7 + 12 + 5 + 8 + 4 + 5 + 5 + 1;
+             const Buffer frame = tiny_request();
+             ASSERT_EQ(frame[at], isa::kNumInstrClasses);
+             (void)wire::decode_request(patched(frame, at, 0));
+         }},
+        {"wire compiler engine invalid",
+         [&] {
+             const Buffer frame = tiny_request();
+             (void)wire::decode_request(
+                 patched(frame, frame.size() - kOptionsFromEnd, 0x7F));
+         }},
+        {"wire scheduler objective invalid",
+         [&] {
+             const Buffer frame = tiny_request();
+             const std::size_t at = frame.size() - kOptionsFromEnd + 34;
+             (void)wire::decode_request(patched(frame, at, 0x7F));
+         }},
+        {"wire glue style invalid",
+         [&] {
+             core::ScenarioRequest request;
+             request.options.glue_style = coordination::GlueStyle::kPosix;
+             const Buffer frame = tiny_request(request);
+             (void)wire::decode_request(
+                 patched(frame, frame.size() - 15, 0x7F));
+         }},
+        {"wire priority byte invalid",
+         [&] {
+             const Buffer frame = tiny_request();
+             (void)wire::decode_request(
+                 patched(frame, frame.size() - 10, 0x7F));
+         }},
+        {"wire deadline budget is NaN",
+         [&] {
+             core::ScenarioRequest request;
+             request.deadline = std::chrono::steady_clock::now();
+             Buffer frame = tiny_request(request);
+             put_u64(frame, frame.size() - 16, 0x7FF8000000000000ULL);
+             reseal(frame);
+             (void)wire::decode_request(frame);
+         }},
+        {"wire version map not in canonical order",
+         [&] {
+             core::ToolchainReport report;
+             report.graph.tasks.emplace_back();
+             report.graph.tasks[0].versions["ca"];
+             report.graph.tasks[0].versions["cb"];
+             Buffer frame = wire::encode(report);
+             (void)wire::decode_report(
+                 patched(frame, find_string(frame, "cb") + 1, 'a'));
+         }},
+        {"wire rta map not in canonical order",
+         [&] {
+             // Each RTA entry is 13 bytes (core, flag, empty responses);
+             // the second one's core index is the 25th byte from the end.
+             core::ToolchainReport report;
+             report.rta[0];
+             report.rta[1];
+             const Buffer frame = wire::encode(report);
+             ASSERT_EQ(frame[frame.size() - 25], 1U);
+             (void)wire::decode_report(
+                 patched(frame, frame.size() - 25, 0));
+         }},
+        {"wire contract property invalid",
+         [&] {
+             core::ToolchainReport report;
+             report.certificate.results.emplace_back();
+             const Buffer frame = wire::encode(report);
+             (void)wire::decode_report(
+                 patched(frame, frame.size() - kReportTail - 44, 0x7F));
+         }},
+        {"wire proof rule invalid",
+         [&] {
+             // A leaf proof node is 25 bytes: rule, value, param, empty
+             // note, empty child count.
+             core::ToolchainReport report;
+             report.certificate.results.emplace_back();
+             const Buffer frame = wire::encode(report);
+             (void)wire::decode_report(
+                 patched(frame, frame.size() - kReportTail - 25, 0x7F));
+         }},
+        {"wire proof tree nested too deeply",
+         [&] {
+             contracts::ProofNode proof;
+             for (int i = 0; i < 300; ++i) {
+                 contracts::ProofNode parent;
+                 parent.children.push_back(std::move(proof));
+                 proof = std::move(parent);
+             }
+             core::ToolchainReport report;
+             report.certificate.results.emplace_back();
+             report.certificate.results[0].proof = std::move(proof);
+             (void)wire::decode_report(wire::encode(report));
+         }},
+        {"frame length prefix truncated",
+         [] {
+             const Buffer stream = {1, 2, 3};
+             std::size_t offset = 0;
+             (void)wire::next_frame(stream, offset);
+         }},
+        {"frame payload truncated",
+         [] {
+             const Buffer stream = {10, 0, 0, 0, 1, 2};
+             std::size_t offset = 0;
+             (void)wire::next_frame(stream, offset);
+         }},
+    };
+    for (const auto& c : cases) {
+        try {
+            c.trigger();
+            ADD_FAILURE() << "accepted; expected \"" << c.what << '"';
+        } catch (const core::wire::WireError& error) {
+            EXPECT_STREQ(error.what(), c.what);
+        }
     }
 }
 
